@@ -146,9 +146,6 @@ class IdealPresentation:
         self.aux = aux
         self.eliminated = tuple(eliminated)
 
-    def variables(self):
-        return self.ring.names
-
     def text(self):
         return "\n".join(g.text() for g in self.generators)
 

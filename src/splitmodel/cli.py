@@ -22,6 +22,7 @@ import json
 import os
 import random
 import sys
+from typing import NamedTuple
 
 from .charts import (
     PAIR_BUDGET,
@@ -70,65 +71,39 @@ class ConfigError(Exception):
     """Rejected configuration; the message is printed and the run exits 2."""
 
 
-class ReportConfig:
-    """Normalized parameters of one run, embedded verbatim in its report."""
+class ReportConfig(NamedTuple):
+    """Normalized parameters of one run, embedded verbatim in its report.
+    Options a subcommand does not take keep these defaults."""
 
-    __slots__ = ("command", "n", "s", "q", "truncation", "seed", "budget",
-                 "strategy", "output", "fmt", "allow_long", "workers")
-
-    def __init__(self, command, n=None, s=None, q=3, truncation=3, seed=0,
-                 budget=None, strategy=None, output=None, fmt="json",
-                 allow_long=False, workers=1):
-        self.command = command
-        self.n = n
-        self.s = s
-        self.q = q
-        self.truncation = truncation
-        self.seed = seed
-        self.budget = budget
-        self.strategy = strategy
-        self.output = output
-        self.fmt = fmt
-        self.allow_long = allow_long
-        self.workers = workers
+    command: str
+    n: int | None = None
+    s: int | None = None
+    q: int = 3
+    truncation: int = 3
+    seed: int = 0
+    budget: int | None = None
+    strategy: str | None = None
+    output: str | None = None
+    fmt: str = "json"
+    allow_long: bool = False
+    workers: int = 1
 
     def to_json_dict(self):
-        return {
-            "command": self.command,
-            "n": self.n,
-            "s": self.s,
-            "q": self.q,
-            "truncation": self.truncation,
-            "seed": self.seed,
-            "budget": self.budget,
-            "strategy": self.strategy,
-            "output": self.output,
-            "format": self.fmt,
-            "allow_long": self.allow_long,
-            "workers": self.workers,
-        }
+        out = self._asdict()
+        out["format"] = out.pop("fmt")
+        return out
 
 
 def _config_from_args(args) -> ReportConfig:
-    cfg = ReportConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        s=getattr(args, "s", None),
-        q=getattr(args, "q", 3),
-        truncation=getattr(args, "truncation", 3),
-        seed=getattr(args, "seed", 0),
-        budget=getattr(args, "budget", None),
-        strategy=getattr(args, "strategy", None),
-        output=_resolve_output(getattr(args, "output", None)),
-        fmt=getattr(args, "fmt", "json"),
-        allow_long=getattr(args, "allow_long", False),
-        workers=getattr(args, "workers", 1),
-    )
-    _validate(cfg)
-    return cfg
+    defaults = ReportConfig._field_defaults
+    values = {name: getattr(args, name, defaults.get(name))
+              for name in ReportConfig._fields}
+    values["output"] = _resolve_output(values["output"])
+    return _validate(ReportConfig(**values))
 
 
-def _validate(cfg: ReportConfig):
+def _validate(cfg: ReportConfig) -> ReportConfig:
+    """Reject a bad configuration; return it with the budget resolved."""
     if cfg.fmt == "csv" and cfg.command != "census":
         raise ConfigError("csv output is limited to the census strata table")
     if cfg.n is not None:
@@ -155,17 +130,19 @@ def _validate(cfg: ReportConfig):
         if cfg.s == 4 and not cfg.allow_long:
             raise ConfigError(
                 "the s=4 basis job is long; pass --allow-long to run it")
+    if cfg.budget is not None:
+        return cfg
     # sampling strategies read the budget as a draw count, enumeration as
     # a candidate cap; resolve the default per meaning
-    if cfg.budget is None:
-        if cfg.command == "flatlift":
-            cfg.budget = 100
-        elif cfg.command == "groebner":
-            cfg.budget = PAIR_BUDGET
-        elif cfg.command == "charts" or cfg.strategy == "chart-sampled":
-            cfg.budget = 1000
-        else:
-            cfg.budget = 10 ** 8
+    if cfg.command == "flatlift":
+        budget = 100
+    elif cfg.command == "groebner":
+        budget = PAIR_BUDGET
+    elif cfg.command == "charts" or cfg.strategy == "chart-sampled":
+        budget = 1000
+    else:
+        budget = 10 ** 8
+    return cfg._replace(budget=budget)
 
 
 def _resolve_output(path):
@@ -345,22 +322,16 @@ def _run_groebner(cfg):
         ring1 = gb1.ring
         tw1 = ring1.monomial({"t_1_2": 1, "w_1_2": 1})
         leftover = reduce_poly(tw1, gb1)
-        certificates = {
+        checks = {
             "principal": principal,
             "generator_squarefree": squarefree,
             "product_square_in_special_ideal": member_gb,
             "product_square_in_special_ideal_brute": member_brute,
             "routes_agree": member_gb == member_brute,
             "product_outside_generic_ideal": not leftover.is_zero(),
-            "generic_leftover": leftover.text(),
         }
-        body["certificates"] = certificates
-        failures += sum(1 for key in ("principal", "generator_squarefree",
-                                      "product_square_in_special_ideal",
-                                      "product_square_in_special_ideal_brute",
-                                      "routes_agree",
-                                      "product_outside_generic_ideal")
-                        if not certificates[key])
+        body["certificates"] = dict(checks, generic_leftover=leftover.text())
+        failures += sum(1 for ok in checks.values() if not ok)
 
     if cfg.s in (2, 3):
         sub = substitution_check(cfg.s, r, base=base, pair_budget=cfg.budget)

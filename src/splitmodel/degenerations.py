@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import BadLabel, BadParameters, BadTargets
+from .errors import BadLabel, BadParameters, BadTargets, ConstructionFailed
 from .frame import build_frame, normal_form_gram, pair
 from .linalg import Matrix
 from .points import (
@@ -16,7 +16,6 @@ from .points import (
     chart_point_general,
     chart_transform,
     invariants,
-    stratum_dimension,
 )
 from .rings import DualNumbers, FunctionField, PrimeField, SeriesRing
 
@@ -63,7 +62,8 @@ class ClosurePoset:
     def minimal(self):
         out = tuple(a for a in self.labels
                     if not any(self.leq(b, a) and a != b for b in self.labels))
-        assert len(out) == 1
+        if len(out) != 1:
+            raise ConstructionFailed(f"{len(out)} minimal labels, expected one")
         return out[0]
 
     def component_count(self) -> int:
@@ -121,7 +121,8 @@ def admissible_generization_pairs(s: int):
 def _paired_skew_blocks(ring, size, live):
     """size x size block matrix: 2x2 skew blocks on the first `live`
     coordinates, zero elsewhere.  `live` must be even."""
-    assert live % 2 == 0 and live <= size
+    if live % 2 != 0 or live > size:
+        raise ConstructionFailed(f"cannot place {live} skew coordinates in {size}")
     data = [[ring.zero] * size for _ in range(size)]
     for b in range(live // 2):
         data[2 * b][2 * b + 1] = ring.one

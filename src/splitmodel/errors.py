@@ -66,10 +66,6 @@ class Singular(SplitModelError):
     """A matrix required to be invertible has zero determinant."""
 
 
-class NotLocalizable(SplitModelError):
-    """Entries cannot be made u-integral by a global u-power."""
-
-
 class BudgetExceeded(SplitModelError):
     """An enumeration or completion exceeded its configured budget."""
 

@@ -40,20 +40,13 @@ class Frame:
     uniformizer takes in the coefficient ring: zero in the special fiber,
     the distinguished variable over a function field in it."""
 
-    __slots__ = ("ring", "n", "m", "pi", "labels", "t_matrix", "gram_sym",
-                 "gram_mod")
+    __slots__ = ("ring", "n", "m", "pi", "t_matrix", "gram_sym", "gram_mod")
 
     def __init__(self, ring, n, pi):
         self.ring = ring
         self.n = n
         self.m = n // 2
         self.pi = pi
-        m = self.m
-        self.labels = tuple(
-            [f"pi^-1*e_{i}" for i in range(1, m + 1)]
-            + [f"e_{i}" for i in range(m + 1, n + 1)]
-            + [f"e_{i}" for i in range(1, m + 1)]
-            + [f"pi*e_{i}" for i in range(m + 1, n + 1)])
         I = Matrix.identity(ring, n)
         Z = Matrix.zero(ring, n, n)
         self.t_matrix = Matrix.block(ring, [[Z, I * (pi * pi)], [I, Z]])
@@ -211,7 +204,8 @@ def normal_form_gram(h: int, l: int, s: int, n: int, case: str,
             for i in range(sizes[bi]):
                 for j in range(sizes[bj]):
                     data[offs[bi] + i][offs[bj] + j] = blk.data[i][j]
-        assert offs[k] == n
+        if offs[k] != n:
+            raise BadDimension(f"block sizes add up to {offs[k]}, not {n}")
         return Matrix(ring, data, coerce=False)
 
     if case == "eps-stratum":

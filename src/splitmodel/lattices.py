@@ -17,8 +17,9 @@ check.
 
 from __future__ import annotations
 
-from .errors import (AmbientMismatch, BadParameters, InvalidPoint,
-                     NotInGrassmannian, NotInZ, Singular, UnrecognizedType)
+from .errors import (AmbientMismatch, BadParameters, ConstructionFailed,
+                     InvalidPoint, NotInGrassmannian, NotInZ, Singular,
+                     UnrecognizedType)
 from .linalg import Matrix, Subspace, inverse, smith_form_local
 from .points import ModelPoint, invariants
 from .rings import FunctionField, PrimeField
@@ -408,8 +409,9 @@ def demazure_membership(L: LaurentLattice, Lp: LaurentLattice, i: int,
     shifted = Lp.scaled(uinv)
     rank2 = 2 * i if variant == "pimodular" else n - 2 * i
     inner_ok, d2 = _free_quotient(shifted_dual, Lp, rank2)
-    c2 = inner_ok and lattice_contains(shifted, shifted_dual)
-    if not lattice_contains(shifted, shifted_dual):
+    dual_inside = lattice_contains(shifted, shifted_dual)
+    c2 = inner_ok and dual_inside
+    if not dual_inside:
         d2 += "; shifted dual escapes the shifted lattice"
 
     if variant == "pimodular":
@@ -473,8 +475,8 @@ def lattice_from_point(component, frame) -> LaurentLattice:
     usq = field.monomial(2)
     cols.extend((lam.matrix * usq).cols())
     L = LaurentLattice(field, Matrix.from_cols(field, cols))
-    assert lattice_contains(lam, L)
-    assert lattice_contains(L, lam.scaled(usq))
+    if not (lattice_contains(lam, L) and lattice_contains(L, lam.scaled(usq))):
+        raise ConstructionFailed("transferred lattice leaves its window")
     return L
 
 

@@ -16,11 +16,10 @@ import itertools
 from .errors import (
     BadDimension,
     NotAField,
-    NotInvertible,
     RingUnsupported,
     Singular,
 )
-from .rings import FunctionField, SeriesRing, poly_trim
+from .rings import FunctionField, SeriesRing, poly_add, poly_mul, poly_neg
 
 
 class Matrix:
@@ -98,9 +97,6 @@ class Matrix:
         return cls(ring, rows, coerce=False)
 
     # -- accessors ----------------------------------------------------------
-
-    def row(self, i):
-        return list(self.data[i])
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.nrows)]
@@ -218,37 +214,58 @@ def vstack(*mats):
 
 
 # ---------------------------------------------------------------------------
-# elimination over fields
+# elimination: one Gauss-Jordan kernel, pivoting on units
 # ---------------------------------------------------------------------------
 
-def rref(M: Matrix):
-    """Reduced row echelon form over a field.  Returns (R, pivot_columns)."""
-    if not M.ring.is_field:
-        raise NotAField(f"row reduction needs a field, got {M.ring!r}")
+def _pivot_test(ring):
+    """Which entries may serve as pivots: the units.  Over a field those are
+    the nonzero entries, and the element type's own truth test decides that
+    at the cost of one is_zero() call."""
+    return type(ring.zero).__bool__ if ring.is_field else ring.is_unit
+
+
+def _eliminate(M: Matrix, is_pivot):
+    """Gauss-Jordan elimination of M, pivoting only on entries that pass
+    is_pivot.  Returns (rows, pivots, leads): the reduced rows, the (row,
+    col) position of each pivot, and each pivot entry before it was scaled
+    to 1, negated when a row swap brought it in.  For a square matrix of
+    full rank the product of leads is the determinant."""
     data = M.copy_data()
-    nrows, ncols = M.nrows, M.ncols
+    nrows = M.nrows
     pivots = []
+    leads = []
     r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not data[i][c].is_zero():
-                pr = i
+    for c in range(M.ncols):
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if is_pivot(data[pr][c]):
                 break
-        if pr is None:
+        else:
             continue
-        data[r], data[pr] = data[pr], data[r]
-        inv = data[r][c].inverse()
+        lead = data[pr][c]
+        if pr != r:
+            data[r], data[pr] = data[pr], data[r]
+            leads.append(-lead)
+        else:
+            leads.append(lead)
+        inv = lead.inverse()
         data[r] = [x * inv for x in data[r]]
         for i in range(nrows):
             if i != r and not data[i][c].is_zero():
                 f = data[i][c]
                 data[i] = [a - f * b for a, b in zip(data[i], data[r])]
-        pivots.append(c)
+        pivots.append((r, c))
         r += 1
-        if r == nrows:
-            break
-    return Matrix(M.ring, data, coerce=False), pivots
+    return data, pivots, leads
+
+
+def rref(M: Matrix):
+    """Reduced row echelon form over a field.  Returns (R, pivot_columns)."""
+    if not M.ring.is_field:
+        raise NotAField(f"row reduction needs a field, got {M.ring!r}")
+    data, pivots, _ = _eliminate(M, _pivot_test(M.ring))
+    return Matrix(M.ring, data, coerce=False), [c for _, c in pivots]
 
 
 def rank(M: Matrix) -> int:
@@ -261,26 +278,12 @@ def det(M: Matrix):
         raise NotAField("determinant by elimination needs a field")
     if M.nrows != M.ncols:
         raise BadDimension("determinant of a non-square matrix")
-    data = M.copy_data()
-    n = M.nrows
+    _, pivots, leads = _eliminate(M, _pivot_test(M.ring))
+    if len(pivots) < M.nrows:
+        return M.ring.zero
     acc = M.ring.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not data[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            return M.ring.zero
-        if pr != c:
-            data[c], data[pr] = data[pr], data[c]
-            acc = -acc
-        acc = acc * data[c][c]
-        inv = data[c][c].inverse()
-        for i in range(c + 1, n):
-            if not data[i][c].is_zero():
-                f = data[i][c] * inv
-                data[i] = [a - f * b for a, b in zip(data[i], data[c])]
+    for x in leads:
+        acc = acc * x
     return acc
 
 
@@ -313,22 +316,6 @@ def kernel_basis(M: Matrix):
     return basis
 
 
-def solve_right(M: Matrix, b):
-    """One solution of M x = b over a field, or None."""
-    aug = hstack(M, Matrix.from_cols(M.ring, [b]))
-    R, pivots = rref(aug)
-    if M.ncols in pivots:
-        return None
-    x = [M.ring.zero] * M.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = R.data[r][M.ncols]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# elimination over local rings (unit pivots only)
-# ---------------------------------------------------------------------------
-
 def _residue_matrix(M: Matrix):
     ring = M.ring
     if ring.is_field:
@@ -347,37 +334,14 @@ def echelon_local(M: Matrix):
     """Row echelon form using only unit pivots.  Returns (R, pivots) where
     pivots lists (row, col) pairs; rows beyond the pivots may retain
     non-unit entries when the matrix has deficient residual rank."""
-    ring = M.ring
-    data = M.copy_data()
-    nrows, ncols = M.nrows, M.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if ring.is_unit(data[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        data[r], data[pr] = data[pr], data[r]
-        inv = data[r][c].inverse()
-        data[r] = [x * inv for x in data[r]]
-        for i in range(nrows):
-            if i != r and not data[i][c].is_zero():
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(ring, data, coerce=False), pivots
+    data, pivots, _ = _eliminate(M, _pivot_test(M.ring))
+    return Matrix(M.ring, data, coerce=False), pivots
 
 
-def solve_local(A: Matrix, b):
-    """One solution of A x = b over a local ring (or field), for A with
-    full residual column rank.  Returns the coefficient list, or None when
-    the system is inconsistent."""
+def solve_right(A: Matrix, b):
+    """One solution of A x = b over a field or a local ring, or None when
+    the system is inconsistent.  Over a local ring A must have full
+    residual column rank."""
     ring = A.ring
     if not ring.is_field and residual_rank(A) != A.ncols:
         raise RingUnsupported("local solve needs a free basis")
@@ -564,7 +528,8 @@ def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int):
         if not current.contains_vector(row):
             comp.append(list(row))
             current = current.sum(Subspace(field, lower.ambient, [list(row)]))
-    assert len(comp) == upper.dim - lower.dim
+    if len(comp) != upper.dim - lower.dim:
+        raise BadDimension("complement of lower inside upper has the wrong size")
     for quot in subspaces_iter(field, len(comp), d):
         vectors = [list(r) for r in lower.basis]
         for coeffs in quot.basis:
@@ -577,33 +542,8 @@ def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int):
 
 
 # ---------------------------------------------------------------------------
-# generic-coefficient univariate polynomials and characteristic polynomials
+# characteristic polynomials
 # ---------------------------------------------------------------------------
-
-def gpoly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, bi in enumerate(b):
-        out[i] = out[i] + bi
-    return poly_trim(out)
-
-
-def gpoly_mul(a, b, ring):
-    if not a or not b:
-        return ()
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return poly_trim(out)
-
-
-def gpoly_neg(a):
-    return tuple(-c for c in a)
-
 
 def charpoly(M: Matrix):
     """det(T*I - M) as an ascending coefficient tuple over M.ring.
@@ -635,10 +575,10 @@ def charpoly(M: Matrix):
             if not e:
                 continue
             sub = minor(cols[:idx] + cols[idx + 1:])
-            term = gpoly_mul(e, sub, ring)
+            term = poly_mul(e, sub, ring)
             if idx % 2 == 1:
-                term = gpoly_neg(term)
-            acc = gpoly_add(acc, term)
+                term = poly_neg(term)
+            acc = poly_add(acc, term)
         memo[cols] = acc
         return acc
 

@@ -29,17 +29,14 @@ from .linalg import (
     charpoly,
     columns_contain,
     gaussian_binomial,
-    gpoly_mul,
-    hstack,
     intermediate_subspaces_iter,
     kernel_basis,
     rank,
     residual_rank,
-    solve_local,
     solve_right,
     subspaces_iter,
 )
-from .rings import PrimeField
+from .rings import PrimeField, poly_mul
 
 
 class StratumLabel(NamedTuple):
@@ -47,50 +44,34 @@ class StratumLabel(NamedTuple):
     l: int
 
 
-class ValidationReport:
-    """Per-condition outcome of point validation.  Conditions that cannot
-    be evaluated over the coefficient ring are None ("skipped") and do not
-    count against the verdict."""
+class ValidationReport(NamedTuple):
+    """Per-condition outcome of point validation, one flag per condition in
+    checking order.  Conditions that cannot be evaluated over the
+    coefficient ring are None ("skipped") and do not count against the
+    verdict."""
 
-    __slots__ = ("ranks", "containment", "isotropy", "splitting_a",
-                 "splitting_b", "spin", "kottwitz")
-
-    def __init__(self, ranks, containment, isotropy, splitting_a,
-                 splitting_b, spin, kottwitz):
-        self.ranks = ranks
-        self.containment = containment
-        self.isotropy = isotropy
-        self.splitting_a = splitting_a
-        self.splitting_b = splitting_b
-        self.spin = spin
-        self.kottwitz = kottwitz
+    ranks: bool
+    containment: bool
+    isotropy: bool
+    splitting_a: bool
+    splitting_b: bool
+    spin: bool | None
+    kottwitz: bool | None
 
     @property
     def verdict(self) -> bool:
-        flags = (self.ranks, self.containment, self.isotropy,
-                 self.splitting_a, self.splitting_b, self.spin, self.kottwitz)
-        return all(f for f in flags if f is not None)
+        return all(f for f in self if f is not None)
 
     def passes_closed_conditions(self) -> bool:
         """Conditions (1)-(3) only, the ones defining the closed subfunctor."""
-        return bool(self.ranks and self.containment and self.isotropy
-                    and self.splitting_a and self.splitting_b)
+        return all(self[:5])
 
     def first_failure(self):
-        for name in ("ranks", "containment", "isotropy", "splitting_a",
-                     "splitting_b", "spin", "kottwitz"):
-            if getattr(self, name) is False:
-                return name
-        return None
+        return next((name for name, f in zip(self._fields, self)
+                     if f is False), None)
 
     def as_dict(self):
-        return {"ranks": self.ranks, "containment": self.containment,
-                "isotropy": self.isotropy, "splitting_a": self.splitting_a,
-                "splitting_b": self.splitting_b, "spin": self.spin,
-                "kottwitz": self.kottwitz, "verdict": self.verdict}
-
-    def __repr__(self):
-        return f"ValidationReport({self.as_dict()!r})"
+        return {**self._asdict(), "verdict": self.verdict}
 
 
 class ModelPoint:
@@ -226,11 +207,7 @@ def _kottwitz_check(frame: Frame, F_rows: Matrix, r: int, s: int):
     t_cols = frame.t_matrix * cols
     coeffs = []
     for j in range(n):
-        b = t_cols.col(j)
-        if ring.is_field:
-            x = solve_right(cols, b)
-        else:
-            x = solve_local(cols, b)
+        x = solve_right(cols, t_cols.col(j))
         if x is None:
             return False
         coeffs.append(x)
@@ -240,9 +217,9 @@ def _kottwitz_check(frame: Frame, F_rows: Matrix, r: int, s: int):
     one = ring.one
     target = (one,)
     for _ in range(r):
-        target = gpoly_mul(target, (pi, one), ring)
+        target = poly_mul(target, (pi, one), ring)
     for _ in range(s):
-        target = gpoly_mul(target, (-pi, one), ring)
+        target = poly_mul(target, (-pi, one), ring)
     return tuple(got) == tuple(target)
 
 
@@ -286,18 +263,6 @@ def stratum_dimension(r: int, s: int, h: int, l: int) -> int:
 
 def _base_field(ring):
     return getattr(ring, "base", ring)
-
-
-def _coerce_square(ring, obj, size, name):
-    if obj is None:
-        return Matrix.zero(ring, size, size)
-    if isinstance(obj, Matrix):
-        M = obj.map_entries(ring.coerce, ring)
-    else:
-        M = Matrix(ring, [list(r) for r in obj])
-    if M.nrows != size or M.ncols != size:
-        raise BadParameters(f"{name} must be {size}x{size}")
-    return M
 
 
 def _coerce_rect(ring, obj, nrows, ncols, name):
@@ -374,13 +339,13 @@ def chart_point_eps(n: int, s: int, X=None, W=None, X0=None, W0=None,
     if s % 2 == 0:
         if X0 is not None or W0 is not None:
             raise BadParameters("even s takes X and W")
-        X = _coerce_square(ring, X, s, "X")
-        W = _coerce_square(ring, W, s, "W")
+        X = _coerce_rect(ring, X, s, s, "X")
+        W = _coerce_rect(ring, W, s, s, "W")
     else:
         if X is not None or W is not None:
             raise BadParameters("odd s takes X0 and W0")
-        X0 = _coerce_square(ring, X0, s - 1, "X0")
-        W0 = _coerce_square(ring, W0, s - 1, "W0")
+        X0 = _coerce_rect(ring, X0, s - 1, s - 1, "X0")
+        W0 = _coerce_rect(ring, W0, s - 1, s - 1, "W0")
         z = ring.zero
         X = Matrix(ring, [[z] * s] + [[z] + row for row in X0.rows()],
                    coerce=False)
@@ -461,8 +426,8 @@ def chart_point_general(n: int, s: int, h: int, l: int, Y2=None, Z=None,
         raise ParityViolated("need h = l = s mod 2")
     r = n - s
     d = l - h
-    Y2 = _coerce_square(ring, Y2, d, "Y2")
-    Z = _coerce_square(ring, Z, d, "Z")
+    Y2 = _coerce_rect(ring, Y2, d, d, "Y2")
+    Z = _coerce_rect(ring, Z, d, d, "Z")
     if not (Z + Z.transpose()).is_zero():
         raise RelationViolated("Z must be skew")
     K = Y2 - Y2.transpose()
@@ -539,9 +504,9 @@ def chart_point_local(n: int, s: int, X=None, Y=None, Z=None, A=None, B=None,
     q = (r - s) // 2
     X = _coerce_rect(ring, X, q, s, "X")
     Y = _coerce_rect(ring, Y, q, s, "Y")
-    Z = _coerce_square(ring, Z, s, "Z")
-    A = Matrix.identity(ring, s) if A is None else _coerce_square(ring, A, s, "A")
-    B = _coerce_square(ring, B, s, "B")
+    Z = _coerce_rect(ring, Z, s, s, "Z")
+    A = Matrix.identity(ring, s) if A is None else _coerce_rect(ring, A, s, s, "A")
+    B = _coerce_rect(ring, B, s, s, "B")
     Q = Z - Z.transpose()
     if q > 0:
         Q = Q + X.transpose() * Y - Y.transpose() * X
@@ -640,54 +605,36 @@ def _reject_reason(report: ValidationReport) -> str:
             "spin": "spin"}.get(name, "rank")
 
 
-def _census_exhaustive(n, s, q, budget, seed, workers):
+def _exhaustive_candidates(n, s, q, budget):
+    """Yield (point, report) for every candidate of the exhaustive walk: G
+    over the s-dimensional subspaces of the image of t, then F over the
+    interval [G + G-perp', preimage of G under t].  Raises BudgetExceeded
+    before the first candidate when the candidate count exceeds budget."""
     field = PrimeField(q)
     frame = build_frame(n, ring=field)
     n2 = 2 * n
     zrow = [field.zero] * n
 
-    g_list = list(subspaces_iter(field, n, s))
     # candidate count precheck: sum over G of the intermediate-subspace count
-    total = 0
     per_g = []
-    for Gproj in g_list:
+    total = 0
+    for Gproj in subspaces_iter(field, n, s):
         G = Subspace(field, n2, [zrow + list(row) for row in Gproj.basis])
-        Gperp = orthogonal(frame, G, "modified")
-        L = G.sum(Gperp)
-        l_of_g = n - L.dim
-        cnt = gaussian_binomial(s + l_of_g, l_of_g, q)
+        L = G.sum(orthogonal(frame, G, "modified"))
+        total += gaussian_binomial(s + n - L.dim, n - L.dim, q)
         per_g.append((G, L))
-        total += cnt
     if total > budget:
         raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
 
-    strata = {}
-    rejected = {rr: 0 for rr in _REJECT_REASONS}
-    examined = 0
-    # deterministic round-robin sharding; merged associatively
-    shards = [[] for _ in range(workers)]
-    for idx, item in enumerate(per_g):
-        shards[idx % workers].append(item)
-    for shard in shards:
-        for G, L in shard:
-            upper_rows = ([list(row[n:]) + [field.zero] * n for row in G.basis]
-                          + [[field.zero] * n + row for row in
-                             Matrix.identity(field, n).rows()])
-            U = Subspace(field, n2, upper_rows)
-            for F in intermediate_subspaces_iter(L, U, n):
-                examined += 1
-                point = ModelPoint(frame, F.matrix(),
-                                   Matrix.from_rows(field,
-                                                    [list(rw) for rw in G.basis]))
-                report = point.validate()
-                if not report.verdict:
-                    rejected[_reject_reason(report)] += 1
-                    continue
-                lab = invariants(point)
-                strata[lab] = strata.get(lab, 0) + 1
-    params = {"n": n, "s": s, "q": q, "strategy": "exhaustive",
-              "budget": budget, "workers": workers, "examined": examined}
-    return StratumCensus(params, strata, rejected, seed)
+    for G, L in per_g:
+        upper_rows = ([list(row[n:]) + [field.zero] * n for row in G.basis]
+                      + [[field.zero] * n + row for row in
+                         Matrix.identity(field, n).rows()])
+        U = Subspace(field, n2, upper_rows)
+        G_rows = Matrix.from_rows(field, [list(rw) for rw in G.basis])
+        for F in intermediate_subspaces_iter(L, U, n):
+            point = ModelPoint(frame, F.matrix(), G_rows)
+            yield point, point.validate()
 
 
 def random_skew(field, rng, size):
@@ -771,31 +718,15 @@ def sample_general_chart_point(n, s, h, l, field, rng) -> ModelPoint:
     return chart_point_general(n, s, h, l, Y2=Y2, Z=Z, ring=field)
 
 
-def _census_sampled(n, s, q, budget, seed, workers):
+def _sampled_candidates(n, s, q, budget, seed, workers):
+    """Yield (point, report) for budget seeded draws from the worst-point
+    chart, split into one seeded draw stream per worker."""
     field = PrimeField(q)
-    strata = {}
-    rejected = {rr: 0 for rr in _REJECT_REASONS}
-    examined = 0
-    mismatches = 0
-    per_worker = [budget // workers + (1 if w < budget % workers else 0)
-                  for w in range(workers)]
     for w in range(workers):
         rng = random.Random(seed * 1000003 + w)
-        for _ in range(per_worker[w]):
-            examined += 1
+        for _ in range(budget // workers + (1 if w < budget % workers else 0)):
             point = sample_eps_chart_point(n, s, field, rng)
-            report = point.report
-            if not report.verdict:
-                rejected[_reject_reason(report)] += 1
-                continue
-            lab = invariants(point)
-            if point.predicted_label is not None and lab != point.predicted_label:
-                mismatches += 1
-            strata[lab] = strata.get(lab, 0) + 1
-    params = {"n": n, "s": s, "q": q, "strategy": "chart-sampled",
-              "budget": budget, "workers": workers, "examined": examined,
-              "prediction_mismatches": mismatches}
-    return StratumCensus(params, strata, rejected, seed)
+            yield point, point.report
 
 
 def census(n: int, s: int, q: int, strategy: str = "exhaustive",
@@ -805,17 +736,37 @@ def census(n: int, s: int, q: int, strategy: str = "exhaustive",
     Exhaustive strategy enumerates G over the s-dimensional subspaces of
     the image of t, then F over the interval [G + G-perp', preimage of G
     under t]; every candidate runs the full validator.  Chart-sampled
-    strategy draws `budget` seeded random points of the worst-point chart.
+    strategy draws `budget` seeded random points of the worst-point chart,
+    in `workers` seeded draw streams; the exhaustive walk does not depend
+    on `workers`.
     """
     if n % 2 != 0 or n < 4 or not (1 <= s <= n // 2):
         raise BadParameters("need even n >= 4 and 1 <= s <= n/2")
     if workers < 1:
         raise BadParameters("workers must be positive")
     if strategy == "exhaustive":
-        return _census_exhaustive(n, s, q, budget, seed, workers)
+        candidates = _exhaustive_candidates(n, s, q, budget)
+    elif strategy == "chart-sampled":
+        candidates = _sampled_candidates(n, s, q, budget, seed, workers)
+    else:
+        raise BadParameters(f"unknown strategy {strategy!r}")
+    strata = {}
+    rejected = {rr: 0 for rr in _REJECT_REASONS}
+    examined = mismatches = 0
+    for point, report in candidates:
+        examined += 1
+        if not report.verdict:
+            rejected[_reject_reason(report)] += 1
+            continue
+        lab = invariants(point)
+        if point.predicted_label is not None and lab != point.predicted_label:
+            mismatches += 1
+        strata[lab] = strata.get(lab, 0) + 1
+    params = {"n": n, "s": s, "q": q, "strategy": strategy,
+              "budget": budget, "workers": workers, "examined": examined}
     if strategy == "chart-sampled":
-        return _census_sampled(n, s, q, budget, seed, workers)
-    raise BadParameters(f"unknown strategy {strategy!r}")
+        params["prediction_mismatches"] = mismatches
+    return StratumCensus(params, strata, rejected, seed)
 
 
 def iter_validated_points(n: int, s: int, q: int, budget: int = 10 ** 8):
@@ -823,33 +774,9 @@ def iter_validated_points(n: int, s: int, q: int, budget: int = 10 ** 8):
     walk, in the same candidate order the exhaustive census uses."""
     if n % 2 != 0 or n < 4 or not (1 <= s <= n // 2):
         raise BadParameters("need even n >= 4 and 1 <= s <= n/2")
-    field = PrimeField(q)
-    frame = build_frame(n, ring=field)
-    n2 = 2 * n
-    zrow = [field.zero] * n
-
-    per_g = []
-    total = 0
-    for Gproj in subspaces_iter(field, n, s):
-        G = Subspace(field, n2, [zrow + list(row) for row in Gproj.basis])
-        Gperp = orthogonal(frame, G, "modified")
-        L = G.sum(Gperp)
-        total += gaussian_binomial(s + n - L.dim, n - L.dim, q)
-        per_g.append((G, L))
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
-
-    for G, L in per_g:
-        upper_rows = ([list(row[n:]) + [field.zero] * n for row in G.basis]
-                      + [[field.zero] * n + row for row in
-                         Matrix.identity(field, n).rows()])
-        U = Subspace(field, n2, upper_rows)
-        for F in intermediate_subspaces_iter(L, U, n):
-            point = ModelPoint(frame, F.matrix(),
-                               Matrix.from_rows(field,
-                                                [list(rw) for rw in G.basis]))
-            if point.validate().verdict:
-                yield point, invariants(point)
+    for point, report in _exhaustive_candidates(n, s, q, budget):
+        if report.verdict:
+            yield point, invariants(point)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def _factor_prime_power(q: int):
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomial helpers over int coefficients mod p
-# (used only to build extension-field moduli)
+# (extension-field moduli and extension-field arithmetic)
 # ---------------------------------------------------------------------------
 
 def _ipoly_trim(c):
@@ -67,23 +67,20 @@ def _ipoly_mulmod(a, b, mod, p):
         if ai:
             for j, bj in enumerate(b):
                 res[i + j] = (res[i + j] + ai * bj) % p
-    return _ipoly_rem(_ipoly_trim(res), mod, p)
+    return _ipoly_rem(res, mod, p)
 
 
-def _ipoly_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        a = _ipoly_trim(a)
-        if len(a) - 1 < dm:
-            break
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a = _ipoly_trim(a)
-    return _ipoly_trim(a)
+def _ipoly_rem(a, b, p):
+    """Remainder of a on division by b (b trimmed and nonzero), mod p."""
+    r = _ipoly_trim(list(a))
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(r) >= len(b):
+        c = r[-1] * inv_lead % p
+        shift = len(r) - len(b)
+        for i, bi in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * bi) % p
+        r = _ipoly_trim(r)
+    return r
 
 
 def _ipoly_powmod(a, e, mod, p):
@@ -100,19 +97,7 @@ def _ipoly_powmod(a, e, mod, p):
 def _ipoly_gcd(a, b, p):
     a, b = _ipoly_trim(list(a)), _ipoly_trim(list(b))
     while b:
-        # a mod b
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b) and r:
-            r = _ipoly_trim(r)
-            if len(r) < len(b):
-                break
-            c = r[-1] * inv % p
-            shift = len(r) - len(b)
-            for i, bi in enumerate(b):
-                r[shift + i] = (r[shift + i] - c * bi) % p
-            r = _ipoly_trim(r)
-        a, b = b, _ipoly_trim(r)
+        a, b = b, _ipoly_rem(a, b, p)
     return a
 
 
@@ -225,40 +210,11 @@ class FFElement:
         f = self.field
         if self.is_zero():
             raise NotInvertible("division by zero in a finite field")
+        # Fermat: x^(q-2) is the inverse of every nonzero x in F_q
         if f.deg == 1:
             return FFElement(f, pow(self.val, f.p - 2, f.p))
-        # extended euclid in F_p[x] against the modulus
-        p = f.p
-        r0, r1 = list(f.modulus), _ipoly_trim(list(self.val))
-        s0, s1 = [], [1]
-        while r1:
-            inv = pow(r1[-1], p - 2, p)
-            q = [0] * (len(r0) - len(r1) + 1)
-            r = list(r0)
-            while len(r) >= len(r1) and r:
-                r = _ipoly_trim(r)
-                if len(r) < len(r1):
-                    break
-                c = r[-1] * inv % p
-                shift = len(r) - len(r1)
-                q[shift] = c
-                for i, bi in enumerate(r1):
-                    r[shift + i] = (r[shift + i] - c * bi) % p
-                r = _ipoly_trim(r)
-            r0, r1 = r1, _ipoly_trim(r)
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + qi * sj) % p
-            s0, s1 = s1, _ipoly_trim([(a - b) % p for a, b in
-                                      zip(s0 + [0] * len(qs1), qs1 + [0] * len(s0))])
-        # r0 = gcd, a unit scalar since the modulus is irreducible
-        c_inv = pow(r0[0], p - 2, p)
-        inv = [(c_inv * c) % p for c in s0]
-        inv = _ipoly_rem(inv, list(f.modulus), p)
-        inv = inv + [0] * (f.deg - len(inv))
-        return FFElement(f, tuple(inv))
+        inv = _ipoly_powmod(list(self.val), f.q - 2, list(f.modulus), f.p)
+        return FFElement(f, tuple(inv + [0] * (f.deg - len(inv))))
 
     def is_zero(self):
         if self.field.deg == 1:
@@ -266,16 +222,20 @@ class FFElement:
         return all(c == 0 for c in self.val)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.val != 0 if self.field.deg == 1 else any(self.val)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
-        return (isinstance(other, FFElement) and other.field is self.field
-                and other.val == self.val)
+        if not isinstance(other, FFElement):
+            return NotImplemented  # rings over this field compare their constants
+        return other.field is self.field and other.val == self.val
 
     def __hash__(self):
-        return hash((id(self.field), self.val))
+        # a prime-field constant hashes like the int it equals
+        if self.field.deg == 1:
+            return hash(self.val)
+        return hash(self.val[0] if not any(self.val[1:]) else self.val)
 
     def __repr__(self):
         if self.field.deg == 1:
@@ -369,8 +329,9 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over a PrimeField (coefficient tuples,
-# ascending degree, trailing zeros stripped, () is the zero polynomial)
+# dense univariate polynomials (coefficient tuples, ascending degree,
+# trailing zeros stripped, () is the zero polynomial); add, neg and mul
+# work over any coefficient ring, the rest over a PrimeField
 # ---------------------------------------------------------------------------
 
 def poly_trim(c):
@@ -391,10 +352,6 @@ def poly_add(a, b):
 
 def poly_neg(a):
     return tuple(-c for c in a)
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
 
 
 def poly_mul(a, b, field):
@@ -575,7 +532,10 @@ class RationalFunction:
                 and o.num == self.num and o.den == self.den)
 
     def __hash__(self):
-        return hash((id(self.ring), self.num, self.den))
+        # a constant hashes like the base-field element and the int it equals
+        if len(self.num) <= 1 and len(self.den) == 1:
+            return hash(self.num[0]) if self.num else hash(0)
+        return hash((self.num, self.den))
 
     def valuation(self):
         """Order of vanishing at v = 0 (INF for the zero element)."""
@@ -803,7 +763,10 @@ class TruncatedSeries:
                 and o.coeffs == self.coeffs)
 
     def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
+        # a constant hashes like the base-field element and the int it equals
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash(self.coeffs)
 
     def valuation(self):
         for i, c in enumerate(self.coeffs):
@@ -999,7 +962,10 @@ class MultiPoly:
         return isinstance(o, MultiPoly) and o.ring is self.ring and o.terms == self.terms
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
+        # a constant hashes like the base-field element and the int it equals
+        if not self.terms or self.ring.is_unit(self):
+            return hash(self.terms.get((0,) * self.ring.nvars, 0))
+        return hash(frozenset(self.terms.items()))
 
     def lead_monomial(self):
         if not self.terms:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -111,6 +112,87 @@ def test_kernel_and_solve():
         sol = solve_right(M, b)
         assert sol is not None
         assert M.apply_to_vector(sol) == b
+
+
+FIELDS = [PrimeField(q) for q in (3, 5, 7, 9)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rref_idempotent_with_echelon_local_pivots(field):
+    rng = random.Random(f"rref:{field.q}")
+    for _ in range(30):
+        M = rand_matrix(field, rng, rng.randrange(1, 5), rng.randrange(1, 7))
+        R, pivots = rref(M)
+        assert rref(R) == (R, pivots)
+        E, local_pivots = echelon_local(M)
+        assert E == R
+        assert [c for _, c in local_pivots] == pivots
+        assert [r for r, _ in local_pivots] == list(range(len(pivots)))
+
+
+def _leibniz_det(M):
+    """Determinant by the permutation expansion, independent of elimination."""
+    ring, n = M.ring, M.nrows
+    acc = ring.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = ring.one
+        for i, j in enumerate(perm):
+            term = term * M.data[i][j]
+        acc = acc + (-term if inversions % 2 else term)
+    return acc
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_det_multiplicative_and_matches_permutation_expansion(field):
+    rng = random.Random(f"det:{field.q}")
+    for _ in range(30):
+        size = rng.randrange(1, 5)
+        A = rand_matrix(field, rng, size, size)
+        B = rand_matrix(field, rng, size, size)
+        assert det(A * B) == det(A) * det(B)
+        assert det(A) == _leibniz_det(A)
+    # a row swap flips the sign; a repeated row gives zero
+    P = Matrix(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert det(P) == -field.one
+    assert det(Matrix(field, [[1, 2, 0], [1, 2, 0], [0, 1, 1]])).is_zero()
+
+
+def test_det_over_function_field():
+    K = FunctionField(F3, "u")
+    rng = random.Random(19)
+    for _ in range(10):
+        A = Matrix(K, [[K.random_poly(rng, 1) for _ in range(3)]
+                       for _ in range(3)])
+        B = Matrix(K, [[K.random_poly(rng, 1) for _ in range(3)]
+                       for _ in range(3)])
+        assert det(A * B) == det(A) * det(B)
+        assert det(A) == _leibniz_det(A)
+
+
+def test_solve_right_over_series_ring():
+    R = SeriesRing(F3, "v", 3)
+    v = R.gen
+    rng = random.Random(20)
+    solved = 0
+    for _ in range(40):
+        A = Matrix(R, [[R.random(rng) for _ in range(2)] for _ in range(3)])
+        if residual_rank(A) != 2:
+            with pytest.raises(RingUnsupported):
+                solve_right(A, [R.zero] * 3)
+            continue
+        solved += 1
+        x = [R.random(rng) for _ in range(2)]
+        b = A.apply_to_vector(x)
+        # full residual column rank: the solution is unique
+        assert solve_right(A, b) == x
+    assert solved > 20
+    A = Matrix(R, [[R.one, v], [v, R.one], [R.zero, R.zero]])
+    # a unit outside the span, and a non-unit left over in a non-pivot row
+    assert solve_right(A, [R.zero, R.zero, R.one]) is None
+    assert solve_right(A, [R.zero, R.zero, v]) is None
+    assert solve_right(A, [R.one, v, R.zero]) == [R.one, R.zero]
 
 
 def test_local_elimination_and_containment():

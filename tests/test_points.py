@@ -302,6 +302,14 @@ def test_census_exhaustive_4_1_3():
     assert result.params["examined"] == 160
 
 
+def test_census_exhaustive_ignores_workers():
+    one = census(4, 1, 3, strategy="exhaustive", workers=1).to_json_dict()
+    three = census(4, 1, 3, strategy="exhaustive", workers=3).to_json_dict()
+    assert three["params"].pop("workers") == 3
+    assert one["params"].pop("workers") == 1
+    assert one == three
+
+
 def test_census_budget():
     with pytest.raises(BudgetExceeded):
         census(4, 2, 3, strategy="exhaustive", budget=100)

@@ -259,6 +259,23 @@ def test_multipoly_text_format():
     assert R.zero.text() == "0"
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_equal_constants_hash_alike(q):
+    F = PrimeField(q)
+    rings = [FunctionField(F, "u"), SeriesRing(F, "v", 3), DualNumbers(F),
+             PolynomialRing(F, ["x", "y"])]
+    for x in F.elements():
+        # x itself, and the int it equals when it is a prime-field constant
+        values = [x]
+        if q == F.p or not any(x.val[1:]):
+            values.append(x.val if q == F.p else x.val[0])
+        for y in [R.coerce(x) for R in rings] + values:
+            for v in values:
+                assert y == v and v == y
+                assert y in {v} and v in {y} and hash(y) == hash(v)
+    assert F.one in {1} and PrimeField(3).one in {1}
+
+
 def test_coerce_rejects_foreign_elements():
     F3, F5 = PrimeField(3), PrimeField(5)
     with pytest.raises(RingUnsupported):
