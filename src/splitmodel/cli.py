@@ -41,7 +41,7 @@ from .degenerations import (
     nonsmooth_witness,
 )
 from .errors import SplitModelError
-from .lattices import phi_map, tau_fiber_check
+from .lattices import _fiber_report, _phi_image, _shifted_cell
 from .linalg import Matrix, det
 from .points import (
     census,
@@ -342,32 +342,35 @@ def _run_groebner(cfg):
 
 
 def _run_schubert(cfg):
-    failures = 0
+    """tau_fiber_check over the points and phi_map on those with l = s, in
+    one pass that transfers each point to the lattice side once."""
     if cfg.strategy == "chart-sampled":
         field = PrimeField(cfg.q)
         rng = random.Random(cfg.seed)
-        points = [p for _, p in _sampled_points(cfg, field, rng)
-                  if p.report.verdict]
+        labeled = ((p, invariants(p))
+                   for _, p in _sampled_points(cfg, field, rng)
+                   if p.report.verdict)
         exhaustive = False
     else:
-        points = [p for p, _ in iter_validated_points(cfg.n, cfg.s, cfg.q,
-                                                      budget=cfg.budget)]
+        labeled = iter_validated_points(cfg.n, cfg.s, cfg.q,
+                                        budget=cfg.budget)
         exhaustive = True
-    tau = tau_fiber_check(points, exhaustive=exhaustive, s=cfg.s)
-    failures += len(tau.problems)
-
+    fiber = []
     z_points = passed = 0
     phi_failures = []
-    for point in points:
-        if invariants(point).l != cfg.s:
+    for point, label in labeled:
+        first, cell = _shifted_cell(point, "pimodular")
+        fiber.append((point.s, label, cell))
+        if label.l != cfg.s:
             continue
         z_points += 1
-        image = phi_map(point)
+        image = _phi_image(point, label, first, cell)
         if image.ok:
             passed += 1
         elif len(phi_failures) < CERTIFICATE_CAP:
             phi_failures.append(image.to_json_dict())
-    failures += z_points - passed
+    tau = _fiber_report(fiber, "pimodular", exhaustive, cfg.s)
+    failures = len(tau.problems) + z_points - passed
     body = {
         "tau": tau.to_json_dict(),
         "phi": {"z_points": z_points, "passed": passed,

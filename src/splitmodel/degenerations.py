@@ -248,7 +248,6 @@ def generization_lift(n: int, s: int, source, target, seed: int = 0) -> LiftReco
     F0 = point.F_rows.map_entries(lambda c: c.evaluate(zero), base)
     G0 = point.G_rows.map_entries(lambda c: c.evaluate(zero), base)
     special = ModelPoint(frame0, F0, G0)
-    special.validate()
     special_label = invariants(special)
 
     rng = random.Random(seed)
@@ -382,9 +381,8 @@ def nonsmooth_witness(n: int, s: int, label, order: int = 3) -> WitnessRecord:
     D = DualNumbers(base)
     frameD = build_frame(n, ring=D)
     _, _, f_rows, g_rows = _witness_vectors(D, n, s, h, l)
-    point = ModelPoint(frameD, Matrix(D, f_rows, coerce=False),
-                       Matrix(D, g_rows, coerce=False))
-    report = point.validate()
+    report = ModelPoint(frameD, Matrix(D, f_rows, coerce=False),
+                        Matrix(D, g_rows, coerce=False)).report
 
     # read the obstruction one order deeper
     S = SeriesRing(base, "eps", order)

@@ -38,9 +38,12 @@ def _j_matrix(ring, n):
 class Frame:
     """Immutable container for the ambient data.  ``pi`` is the value the
     uniformizer takes in the coefficient ring: zero in the special fiber,
-    the distinguished variable over a function field in it."""
+    the distinguished variable over a function field in it.  ``t_plus`` and
+    ``t_minus`` are t + pi and t - pi, the operators of the splitting
+    conditions."""
 
-    __slots__ = ("ring", "n", "m", "pi", "t_matrix", "gram_sym", "gram_mod")
+    __slots__ = ("ring", "n", "m", "pi", "t_matrix", "t_plus", "t_minus",
+                 "gram_sym", "gram_mod")
 
     def __init__(self, ring, n, pi):
         self.ring = ring
@@ -49,7 +52,11 @@ class Frame:
         self.pi = pi
         I = Matrix.identity(ring, n)
         Z = Matrix.zero(ring, n, n)
-        self.t_matrix = Matrix.block(ring, [[Z, I * (pi * pi)], [I, Z]])
+        P = I * pi
+        P2 = I * (pi * pi)
+        self.t_matrix = Matrix.block(ring, [[Z, P2], [I, Z]])
+        self.t_plus = Matrix.block(ring, [[P, P2], [I, P]])
+        self.t_minus = Matrix.block(ring, [[-P, P2], [I, -P]])
         J = _j_matrix(ring, n)
         self.gram_sym = Matrix.block(ring, [[Z, J], [-J, Z]])
         self.gram_mod = -J

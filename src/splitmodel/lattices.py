@@ -334,10 +334,12 @@ def schubert_cell(L: LaurentLattice, variant: str) -> int:
 def in_schubert_variety(L: LaurentLattice, i: int, variant: str) -> bool:
     """Closure membership: cell index at most i, and matching parity in the
     even-rank variant."""
-    k = schubert_cell(L, variant)
-    if k > i:
-        return False
-    return variant == "selfdual" or (i - k) % 2 == 0
+    return _in_closure(schubert_cell(L, variant), i, variant)
+
+
+def _in_closure(k: int, i: int, variant: str) -> bool:
+    """Whether cell k lies in the closure of cell i."""
+    return k <= i and (variant == "selfdual" or (i - k) % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +397,20 @@ def demazure_membership(L: LaurentLattice, Lp: LaurentLattice, i: int,
     _check_variant(variant, L.n)
     if Lp.ring is not L.ring or Lp.n != L.n:
         raise AmbientMismatch("lattice pair must share field and rank")
-    n = L.n
-    if not 0 <= i <= n // 2:
+    if not 0 <= i <= L.n // 2:
         raise BadParameters("index out of range for the pair test")
+    return _pair_test(L, Lp, i, variant, schubert_cell(L, variant))
+
+
+def _pair_test(L: LaurentLattice, Lp: LaurentLattice, i: int, variant: str,
+               cell: int) -> DemazureReport:
+    """demazure_membership on checked arguments, given the cell index of L."""
+    n = L.n
     field = L.ring
     uinv = field.monomial(-1)
     lam = base_lattice(field, n, variant)
 
-    c1 = in_schubert_variety(L, i, variant)
+    c1 = _in_closure(cell, i, variant)
     d1 = f"cell closure at index {i}"
 
     shifted_dual = lattice_dual(Lp).scaled(uinv)
@@ -526,17 +534,27 @@ def phi_map(point: ModelPoint, variant: str = "pimodular") -> PhiImage:
         raise BadParameters(
             "only the even-rank variant transfers special-fiber points")
     label = invariants(point)
-    s = point.s
-    if label.l != s:
-        raise NotInZ(f"self-pairing kernel has dimension {label.l}, not {s}")
-    frame = point.frame
-    LF = lattice_from_point(point.F_rows, frame)
-    LG = lattice_from_point(point.G_rows, frame)
-    field = LF.ring
-    first = LF.scaled(field.monomial(-1))
-    second = lattice_dual(LG).scaled(field.monomial(1))
-    dem = demazure_membership(first, second, s, variant)
-    cell = schubert_cell(first, variant)
+    if label.l != point.s:
+        raise NotInZ(f"self-pairing kernel has dimension {label.l}, "
+                     f"not {point.s}")
+    return _phi_image(point, label, *_shifted_cell(point, variant))
+
+
+def _shifted_cell(point: ModelPoint, variant: str):
+    """(first, cell): the F-lattice of a validated point scaled by u^-1, and
+    its cell index, the lattice data tau_fiber_check and phi_map share."""
+    LF = lattice_from_point(point.F_rows, point.frame)
+    first = LF.scaled(LF.ring.monomial(-1))
+    return first, schubert_cell(first, variant)
+
+
+def _phi_image(point: ModelPoint, label, first: LaurentLattice,
+               cell: int) -> PhiImage:
+    """phi_map of a point with l = s whose label, shifted F-lattice and cell
+    are already known."""
+    LG = lattice_from_point(point.G_rows, point.frame)
+    second = lattice_dual(LG).scaled(first.ring.monomial(1))
+    dem = _pair_test(first, second, point.s, "pimodular", cell)
     return PhiImage(first, second, cell, label, dem, cell == label.h)
 
 
@@ -591,18 +609,21 @@ def tau_fiber_check(points, variant: str = "pimodular",
     exactly the values between k and s with the parity of s.
     """
     _check_variant(variant)
+    return _fiber_report(((p.s, invariants(p), _shifted_cell(p, variant)[1])
+                          for p in points), variant, exhaustive, s)
+
+
+def _fiber_report(rows, variant: str, exhaustive: bool,
+                  s: int = None) -> TauFiberReport:
+    """tau_fiber_check from (G-rank, label, cell) rows, one per point."""
     cells = {}
     counts = {}
     problems = []
-    for point in points:
+    for point_s, label, k in rows:
         if s is None:
-            s = point.s
-        elif point.s != s:
+            s = point_s
+        elif point_s != s:
             raise AmbientMismatch("points with mixed G-ranks in one batch")
-        label = invariants(point)
-        LF = lattice_from_point(point.F_rows, point.frame)
-        field = LF.ring
-        k = schubert_cell(LF.scaled(field.monomial(-1)), variant)
         cells.setdefault(k, set()).add((label.h, label.l))
         counts[k] = counts.get(k, 0) + 1
         if label.h != k:

@@ -418,12 +418,19 @@ class Subspace:
             return Matrix(self.ring, [], coerce=False)
         return Matrix.from_rows(self.ring, self.basis)
 
-    def contains_vector(self, v) -> bool:
-        v = [self.ring.coerce(x) for x in v]
+    def reduce(self, v):
+        """The remainder of v, an iterable of ring elements, modulo the
+        subspace: v with every pivot coordinate cleared by the basis rows.
+        It is zero exactly when v lies in the subspace."""
+        v = list(v)
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if not c.is_zero():
                 v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def contains_vector(self, v) -> bool:
+        v = self.reduce(self.ring.coerce(x) for x in v)
         return all(x.is_zero() for x in v)
 
     def contains(self, other: "Subspace") -> bool:

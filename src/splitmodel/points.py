@@ -76,13 +76,17 @@ class ValidationReport(NamedTuple):
 
 class ModelPoint:
     """A candidate point: basis matrices for F (n rows) and G (s rows) in
-    frame coordinates.  Rows are basis vectors of length 2n."""
+    frame coordinates.  Rows are basis vectors of length 2n.
+
+    Construction validates the point once, with the Kottwitz condition when
+    ``kottwitz`` is set, and keeps the outcome in ``report``.  A point whose
+    ranks or containment of G in F fail raises InvalidPoint."""
 
     __slots__ = ("frame", "ring", "F_rows", "G_rows", "r", "s",
                  "predicted_label", "report")
 
     def __init__(self, frame: Frame, F_rows: Matrix, G_rows: Matrix,
-                 predicted_label=None):
+                 predicted_label=None, kottwitz=False):
         n = frame.n
         if F_rows.ring is not frame.ring or G_rows.ring is not frame.ring:
             raise AmbientMismatch("point and frame coefficient rings differ")
@@ -95,13 +99,12 @@ class ModelPoint:
         self.s = G_rows.nrows
         self.r = n - self.s
         self.predicted_label = predicted_label
-        self.report = None
         if self.s > self.r:
             raise BadParameters("signature needs s <= r")
-        # construction-time sanity: ranks and containment
-        if _basis_rank(F_rows) != n or _basis_rank(G_rows) != self.s:
+        self.report = validate(frame, F_rows, G_rows, kottwitz=kottwitz)
+        if not self.report.ranks:
             raise InvalidPoint("basis matrices are not of full rank")
-        if not _rows_contained(F_rows, G_rows):
+        if not self.report.containment:
             raise InvalidPoint("G is not contained in F")
 
     def F_subspace(self) -> Subspace:
@@ -110,9 +113,8 @@ class ModelPoint:
     def G_subspace(self) -> Subspace:
         return Subspace(self.ring, 2 * self.frame.n, self.G_rows.rows())
 
-    def validate(self, kottwitz=False) -> ValidationReport:
-        self.report = validate(self.frame, self.F_rows, self.G_rows,
-                               kottwitz=kottwitz)
+    def validate(self) -> ValidationReport:
+        """The report computed on construction."""
         return self.report
 
     def __repr__(self):
@@ -120,29 +122,17 @@ class ModelPoint:
                 f"{self.ring!r})")
 
 
-def _basis_rank(rows: Matrix) -> int:
-    if rows.ring.is_field:
-        return rank(rows)
-    return residual_rank(rows)
-
-
-def _rows_contained(outer: Matrix, inner: Matrix) -> bool:
-    """Row span of inner inside row span of outer (columns after transpose)."""
-    return columns_contain(outer.transpose(), inner.transpose())
-
-
-def _as_rows_matrix(ring, n2, obj, expected_rows=None):
-    if isinstance(obj, Subspace):
-        rows = [list(r) for r in obj.basis]
+def _as_rows_matrix(ring, n2, obj):
+    if isinstance(obj, Matrix) and obj.ring is ring:
+        M = obj
+    elif isinstance(obj, Subspace):
+        M = Matrix(ring, [list(r) for r in obj.basis])
     elif isinstance(obj, Matrix):
-        rows = obj.rows()
+        M = Matrix(ring, obj.rows())
     else:
-        rows = [list(r) for r in obj]
-    M = Matrix(ring, rows)
+        M = Matrix(ring, [list(r) for r in obj])
     if M.ncols != n2:
         raise AmbientMismatch("wrong ambient dimension")
-    if expected_rows is not None and M.nrows != expected_rows:
-        raise AmbientMismatch("wrong number of basis vectors")
     return M
 
 
@@ -161,49 +151,34 @@ def validate(frame: Frame, F, G, kottwitz=False) -> ValidationReport:
     n = frame.n
     F_rows = _as_rows_matrix(ring, 2 * n, F)
     G_rows = _as_rows_matrix(ring, 2 * n, G)
+    F_cols = F_rows.transpose()
+    G_cols = G_rows.transpose()
     s = G_rows.nrows
-    r = n - s
 
-    ranks_ok = (F_rows.nrows == n and _basis_rank(F_rows) == n
-                and _basis_rank(G_rows) == s)
-    containment = ranks_ok and _rows_contained(F_rows, G_rows)
-
+    # (1): ranks over the residue field, the same as ranks over a field
+    ranks_ok = (F_rows.nrows == n and residual_rank(F_rows) == n
+                and residual_rank(G_rows) == s)
+    containment = ranks_ok and columns_contain(F_cols, G_cols)
     # (2): every symmetric pairing of basis vectors of F vanishes
-    isotropy = (F_rows * frame.gram_sym * F_rows.transpose()).is_zero()
-
-    pi = frame.pi
-    t = frame.t_matrix
-    I2n = Matrix.identity(ring, 2 * n)
-    t_plus = t + I2n * pi
-    t_minus = t - I2n * pi
-
+    isotropy = (F_rows * frame.gram_sym * F_cols).is_zero()
     # (3a): (t+pi)F inside G
-    image_a = (t_plus * F_rows.transpose())
-    if ranks_ok:
-        splitting_a = columns_contain(G_rows.transpose(), image_a)
-    else:
-        splitting_a = False
+    image_a = frame.t_plus * F_cols
+    splitting_a = ranks_ok and columns_contain(G_cols, image_a)
     # (3b): (t-pi)G = 0
-    splitting_b = (t_minus * G_rows.transpose()).is_zero()
-
-    if ring.is_field:
-        spin = (rank(F_rows * t_plus.transpose()) - s) % 2 == 0
-    else:
-        spin = None  # skipped: defined via field-point form only
-
-    kott = None
-    if kottwitz:
-        kott = _kottwitz_check(frame, F_rows, r, s)
-
+    splitting_b = (frame.t_minus * G_cols).is_zero()
+    # (4): the rank of (t+pi) on F is the rank of the columns of (3a);
+    # skipped off field points, where it is not defined this way
+    spin = (rank(image_a) - s) % 2 == 0 if ring.is_field else None
+    kott = _kottwitz_check(frame, F_cols, n - s, s) if kottwitz else None
     return ValidationReport(ranks_ok, containment, isotropy, splitting_a,
                             splitting_b, spin, kott)
 
 
-def _kottwitz_check(frame: Frame, F_rows: Matrix, r: int, s: int):
-    """char poly of t acting on F equals (T+pi)^r (T-pi)^s."""
+def _kottwitz_check(frame: Frame, cols: Matrix, r: int, s: int):
+    """char poly of t acting on F (basis in the columns of cols) equals
+    (T+pi)^r (T-pi)^s."""
     ring = frame.ring
     n = frame.n
-    cols = F_rows.transpose()
     t_cols = frame.t_matrix * cols
     coeffs = []
     for j in range(n):
@@ -234,8 +209,7 @@ def invariants(point: ModelPoint) -> StratumLabel:
     ring = point.ring
     if not ring.is_field:
         raise RingUnsupported("invariants are defined for field points")
-    report = point.report or point.validate()
-    if not report.passes_closed_conditions():
+    if not point.report.passes_closed_conditions():
         raise InvalidPoint("point fails the closed conditions")
     h = rank(point.F_rows * frame.t_matrix.transpose())
     G = point.G_subspace()
@@ -293,25 +267,18 @@ def chart_transform(n: int, case_matrix: Matrix, ring) -> Matrix:
     return C.map_entries(ring.coerce, ring)
 
 
-def _point_from_ft_columns(frame: Frame, C: Matrix, f_cols, t_cols,
-                           g_f_cols, g_t_cols, predicted=None) -> ModelPoint:
-    """Assemble a ModelPoint from chart coordinates.
+def _rows_from_ft_columns(ring, C: Matrix, f_cols, t_cols, g_f_cols,
+                          g_t_cols):
+    """The basis matrices (F_rows, G_rows) of a point in chart coordinates.
 
     Each column is given by its f-part and tf-part coefficient vectors
     (length n); frame coordinates are C applied to each part."""
-    ring = frame.ring
-    n = frame.n
 
-    def to_frame_vec(fpart, tpart):
-        top = C.apply_to_vector(fpart)
-        bot = C.apply_to_vector(tpart)
-        return top + bot
+    def rows(f_parts, t_parts):
+        return Matrix(ring, [C.apply_to_vector(f) + C.apply_to_vector(t)
+                             for f, t in zip(f_parts, t_parts)], coerce=False)
 
-    F_rows = Matrix(ring, [to_frame_vec(f, t) for f, t in zip(f_cols, t_cols)],
-                    coerce=False)
-    G_rows = Matrix(ring, [to_frame_vec(f, t) for f, t in zip(g_f_cols, g_t_cols)],
-                    coerce=False)
-    return ModelPoint(frame, F_rows, G_rows, predicted_label=predicted)
+    return rows(f_cols, t_cols), rows(g_f_cols, g_t_cols)
 
 
 def _unit_vec(ring, n, i):
@@ -407,10 +374,9 @@ def chart_point_eps(n: int, s: int, X=None, W=None, X0=None, W0=None,
         predicted = StratumLabel(h_pred, s - rank(K))
     else:
         predicted = None
-    point = _point_from_ft_columns(frame, C, f_cols, t_cols, g_f, g_t,
-                                   predicted=predicted)
-    point.validate()
-    return point
+    return ModelPoint(frame, *_rows_from_ft_columns(ring, C, f_cols, t_cols,
+                                                    g_f, g_t),
+                      predicted_label=predicted)
 
 
 def chart_point_general(n: int, s: int, h: int, l: int, Y2=None, Z=None,
@@ -482,10 +448,9 @@ def chart_point_general(n: int, s: int, h: int, l: int, Y2=None, Z=None,
         predicted = StratumLabel(h + rank(Z), h + (d - rank(K)))
     else:
         predicted = None
-    point = _point_from_ft_columns(frame, C, f_cols, t_cols, g_f, g_t,
-                                   predicted=predicted)
-    point.validate()
-    return point
+    return ModelPoint(frame, *_rows_from_ft_columns(ring, C, f_cols, t_cols,
+                                                    g_f, g_t),
+                      predicted_label=predicted)
 
 
 def chart_point_local(n: int, s: int, X=None, Y=None, Z=None, A=None, B=None,
@@ -561,9 +526,9 @@ def chart_point_local(n: int, s: int, X=None, Y=None, Z=None, A=None, B=None,
         f_cols.append([MB.data[i][j] - pi * n1[i] for i in range(n)])
         t_cols.append(n1)
 
-    point = _point_from_ft_columns(frame, C, f_cols, t_cols, g_f, g_t)
-    point.validate(kottwitz=not pi.is_zero())
-    return point
+    return ModelPoint(frame, *_rows_from_ft_columns(ring, C, f_cols, t_cols,
+                                                    g_f, g_t),
+                      kottwitz=not pi.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -595,18 +560,15 @@ class StratumCensus:
         return f"StratumCensus({self.params!r}, strata={dict(self.strata)!r})"
 
 
-_REJECT_REASONS = ("rank", "isotropy", "splitting-a", "splitting-b", "spin")
-
-
-def _reject_reason(report: ValidationReport) -> str:
-    name = report.first_failure()
-    return {"ranks": "rank", "containment": "rank", "isotropy": "isotropy",
-            "splitting_a": "splitting-a", "splitting_b": "splitting-b",
-            "spin": "spin"}.get(name, "rank")
+# the census reason of each flag the census can see fail; any other flag
+# (kottwitz, which no census point evaluates) is a KeyError, not a miscount
+_REJECT_REASONS = {"ranks": "rank", "containment": "rank",
+                   "isotropy": "isotropy", "splitting_a": "splitting-a",
+                   "splitting_b": "splitting-b", "spin": "spin"}
 
 
 def _exhaustive_candidates(n, s, q, budget):
-    """Yield (point, report) for every candidate of the exhaustive walk: G
+    """Yield every candidate point of the exhaustive walk, validated: G
     over the s-dimensional subspaces of the image of t, then F over the
     interval [G + G-perp', preimage of G under t].  Raises BudgetExceeded
     before the first candidate when the candidate count exceeds budget."""
@@ -633,8 +595,7 @@ def _exhaustive_candidates(n, s, q, budget):
         U = Subspace(field, n2, upper_rows)
         G_rows = Matrix.from_rows(field, [list(rw) for rw in G.basis])
         for F in intermediate_subspaces_iter(L, U, n):
-            point = ModelPoint(frame, F.matrix(), G_rows)
-            yield point, point.validate()
+            yield ModelPoint(frame, F.matrix(), G_rows)
 
 
 def random_skew(field, rng, size):
@@ -719,14 +680,13 @@ def sample_general_chart_point(n, s, h, l, field, rng) -> ModelPoint:
 
 
 def _sampled_candidates(n, s, q, budget, seed, workers):
-    """Yield (point, report) for budget seeded draws from the worst-point
-    chart, split into one seeded draw stream per worker."""
+    """Yield budget seeded draws from the worst-point chart, split into one
+    seeded draw stream per worker."""
     field = PrimeField(q)
     for w in range(workers):
         rng = random.Random(seed * 1000003 + w)
         for _ in range(budget // workers + (1 if w < budget % workers else 0)):
-            point = sample_eps_chart_point(n, s, field, rng)
-            yield point, point.report
+            yield sample_eps_chart_point(n, s, field, rng)
 
 
 def census(n: int, s: int, q: int, strategy: str = "exhaustive",
@@ -751,12 +711,12 @@ def census(n: int, s: int, q: int, strategy: str = "exhaustive",
     else:
         raise BadParameters(f"unknown strategy {strategy!r}")
     strata = {}
-    rejected = {rr: 0 for rr in _REJECT_REASONS}
+    rejected = dict.fromkeys(_REJECT_REASONS.values(), 0)
     examined = mismatches = 0
-    for point, report in candidates:
+    for point in candidates:
         examined += 1
-        if not report.verdict:
-            rejected[_reject_reason(report)] += 1
+        if not point.report.verdict:
+            rejected[_REJECT_REASONS[point.report.first_failure()]] += 1
             continue
         lab = invariants(point)
         if point.predicted_label is not None and lab != point.predicted_label:
@@ -774,8 +734,8 @@ def iter_validated_points(n: int, s: int, q: int, budget: int = 10 ** 8):
     walk, in the same candidate order the exhaustive census uses."""
     if n % 2 != 0 or n < 4 or not (1 <= s <= n // 2):
         raise BadParameters("need even n >= 4 and 1 <= s <= n/2")
-    for point, report in _exhaustive_candidates(n, s, q, budget):
-        if report.verdict:
+    for point in _exhaustive_candidates(n, s, q, budget):
+        if point.report.verdict:
             yield point, invariants(point)
 
 
@@ -794,8 +754,7 @@ def tangent_report(point: ModelPoint) -> int:
     field = point.ring
     if not field.is_field:
         raise RingUnsupported("tangent computation runs over field points")
-    report = point.report or point.validate()
-    if not report.passes_closed_conditions():
+    if not point.report.passes_closed_conditions():
         raise InvalidPoint("point fails the closed conditions")
 
     n2 = 2 * frame.n
@@ -806,19 +765,9 @@ def tangent_report(point: ModelPoint) -> int:
     compG = [c for c in range(n2) if c not in G.pivots]
     dF, dG = len(compF), len(compG)
 
-    def reduce_mod(sub: Subspace, v):
-        v = list(v)
-        for row, p in zip(sub.basis, sub.pivots):
-            c = v[p]
-            if not c.is_zero():
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
     f_basis = [list(row) for row in F.basis]
     g_basis = [list(row) for row in G.basis]
-    I2n = Matrix.identity(field, n2)
-    t_plus = frame.t_matrix + I2n * frame.pi
-    t_minus = frame.t_matrix - I2n * frame.pi
+    t_plus, t_minus = frame.t_plus, frame.t_minus
 
     # unknown layout: phi[i][k] (i < nF, k < dF), then delta[a][k] (a < sG, k < dG)
     nvars = nF * dF + sG * dG
@@ -866,9 +815,9 @@ def tangent_report(point: ModelPoint) -> int:
         u_of.append(solve_right(Fcols, g_basis[a]))
 
     # (3a) linearized: (t + pi) phi_j - sum_a c_a(j) delta_a = 0 mod G
-    red_tc = [reduce_mod(G, t_plus.apply_to_vector(_unit_vec(field, n2, c)))
+    red_tc = [G.reduce(t_plus.apply_to_vector(_unit_vec(field, n2, c)))
               for c in range(n2)]
-    red_e_G = [reduce_mod(G, _unit_vec(field, n2, c)) for c in range(n2)]
+    red_e_G = [G.reduce(_unit_vec(field, n2, c)) for c in range(n2)]
     for j in range(nF):
         for coord in range(n2):
             row = new_row()
@@ -891,7 +840,7 @@ def tangent_report(point: ModelPoint) -> int:
                 rows.append(row)
 
     # (1) linearized: delta_a - sum_j u_aj phi_j = 0 mod F
-    red_e_F = [reduce_mod(F, _unit_vec(field, n2, c)) for c in range(n2)]
+    red_e_F = [F.reduce(_unit_vec(field, n2, c)) for c in range(n2)]
     for a in range(sG):
         for coord in range(n2):
             row = new_row()

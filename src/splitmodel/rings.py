@@ -226,6 +226,10 @@ class FFElement:
 
     def __eq__(self, other):
         if isinstance(other, int):
+            # an int is equal only as its canonical residue 0..p-1, the one
+            # int whose hash agrees
+            if not 0 <= other < self.field.p:
+                return False
             other = self.field.from_int(other)
         if not isinstance(other, FFElement):
             return NotImplemented  # rings over this field compare their constants
@@ -527,6 +531,8 @@ class RationalFunction:
         return bool(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, int) and not 0 <= other < self.ring.char:
+            return False
         o = self._coerced(other) if not isinstance(other, RationalFunction) else other
         return (isinstance(o, RationalFunction) and o.ring is self.ring
                 and o.num == self.num and o.den == self.den)
@@ -758,6 +764,8 @@ class TruncatedSeries:
         return not self.is_zero()
 
     def __eq__(self, other):
+        if isinstance(other, int) and not 0 <= other < self.ring.char:
+            return False
         o = self._coerced(other) if not isinstance(other, TruncatedSeries) else other
         return (isinstance(o, TruncatedSeries) and o.ring is self.ring
                 and o.coeffs == self.coeffs)
@@ -958,6 +966,8 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if isinstance(other, int) and not 0 <= other < self.ring.char:
+            return False
         o = self._coerced(other) if not isinstance(other, MultiPoly) else other
         return isinstance(o, MultiPoly) and o.ring is self.ring and o.terms == self.terms
 

@@ -276,6 +276,26 @@ def test_equal_constants_hash_alike(q):
     assert F.one in {1} and PrimeField(3).one in {1}
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_int_equality_implies_equal_hash(q):
+    # an int equals an element only as its canonical residue 0..p-1, so
+    # PrimeField(3).one == 4 is False like PrimeField(3).one in {4}
+    F = PrimeField(q)
+    rings = [FunctionField(F, "u"), SeriesRing(F, "v", 3), DualNumbers(F),
+             PolynomialRing(F, ["x", "y"])]
+    values = list(F.elements())
+    values += [R.coerce(x) for R in rings for x in F.elements()]
+    values += [R.gen for R in rings[:3]] + list(rings[3].gens)
+    for x in values:
+        for k in range(-2 * q, 2 * q):
+            if x == k or k == x:
+                assert x == k and k == x
+                assert hash(x) == hash(k) and x in {k} and k in {x}
+                assert 0 <= k < F.p
+    assert PrimeField(3).one != 4 and PrimeField(3).one not in {4}
+    assert FunctionField(PrimeField(3), "u").one != -2
+
+
 def test_coerce_rejects_foreign_elements():
     F3, F5 = PrimeField(3), PrimeField(5)
     with pytest.raises(RingUnsupported):

@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import splitmodel
 
 PACKAGE = Path(splitmodel.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_no_assert_statements():
@@ -16,3 +18,31 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _references(node):
+    """How often each name is read or accessed as an attribute under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_is_referenced():
+    # a module-level function, class or method (dunders aside) that nothing
+    # in the package or the tests names, outside its own body, is dead code
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            defs = [node] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                defs += [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            for d in defs:
+                dunder = d.name.startswith("__") and d.name.endswith("__")
+                if not dunder and total[d.name] <= _references(d)[d.name]:
+                    orphans.append(f"{path.name}:{d.lineno} {d.name}")
+    assert orphans == []
