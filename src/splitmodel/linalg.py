@@ -19,7 +19,14 @@ from .errors import (
     RingUnsupported,
     Singular,
 )
-from .rings import FunctionField, SeriesRing, poly_add, poly_mul, poly_neg
+from .rings import (
+    FunctionField,
+    PrimeField,
+    SeriesRing,
+    poly_add,
+    poly_mul,
+    poly_neg,
+)
 
 
 class Matrix:
@@ -139,6 +146,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise BadDimension("shape mismatch in product")
+            if other.ring is self.ring and _is_prime_field(self.ring):
+                return Matrix(self.ring, _product_mod_p(self, other),
+                              coerce=False)
             z = self.ring.zero
             bt = [other.col(j) for j in range(other.ncols)]
             out = []
@@ -214,22 +224,57 @@ def vstack(*mats):
 
 
 # ---------------------------------------------------------------------------
+# prime fields: products and elimination on the int residues
+# ---------------------------------------------------------------------------
+
+def _is_prime_field(ring):
+    """Whether ring is some F_p, whose matrices the *_mod_p kernels handle on
+    the ints ``x.val`` and box through ``ring.table``.  Extension fields,
+    function fields, series and polynomial rings take the element loops."""
+    return isinstance(ring, PrimeField) and ring.deg == 1
+
+
+def _product_mod_p(A: Matrix, B: Matrix):
+    """The rows of A * B over F_p: each row of the product accumulates the
+    rows of B scaled by the nonzero entries of the row of A, and is reduced
+    mod p once."""
+    p, table = A.ring.p, A.ring.table
+    b_rows = [[x.val for x in row] for row in B.data]
+    zeros = [0] * B.ncols
+    out = []
+    for row in A.data:
+        acc = zeros
+        for a, b_row in zip(row, b_rows):
+            a = a.val
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b_row)]
+        out.append([table[x % p] for x in acc])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # elimination: one Gauss-Jordan kernel, pivoting on units
 # ---------------------------------------------------------------------------
 
-def _pivot_test(ring):
-    """Which entries may serve as pivots: the units.  Over a field those are
-    the nonzero entries, and the element type's own truth test decides that
-    at the cost of one is_zero() call."""
-    return type(ring.zero).__bool__ if ring.is_field else ring.is_unit
+def _eliminate(M: Matrix):
+    """Gauss-Jordan elimination of M, pivoting only on units.  Returns
+    (rows, pivots, leads): the reduced rows, the (row, col) position of each
+    pivot, and each pivot entry before it was scaled to 1, negated when a
+    row swap brought it in.  For a square matrix of full rank the product of
+    leads is the determinant.  Over a prime field this runs on the residues
+    (_eliminate_mod_p); every other ring takes the element loop, which
+    is the reference the residue kernel is tested against."""
+    if _is_prime_field(M.ring):
+        return _eliminate_mod_p(M)
+    return _eliminate_elements(M)
 
 
-def _eliminate(M: Matrix, is_pivot):
-    """Gauss-Jordan elimination of M, pivoting only on entries that pass
-    is_pivot.  Returns (rows, pivots, leads): the reduced rows, the (row,
-    col) position of each pivot, and each pivot entry before it was scaled
-    to 1, negated when a row swap brought it in.  For a square matrix of
-    full rank the product of leads is the determinant."""
+def _eliminate_elements(M: Matrix):
+    """_eliminate over any field or local ring, by element arithmetic.
+    Over a field the pivots are the nonzero entries, which the element
+    type's own truth test decides at the cost of one is_zero() call."""
+    ring = M.ring
+    is_pivot = type(ring.zero).__bool__ if ring.is_field else ring.is_unit
     data = M.copy_data()
     nrows = M.nrows
     pivots = []
@@ -260,11 +305,48 @@ def _eliminate(M: Matrix, is_pivot):
     return data, pivots, leads
 
 
+def _eliminate_mod_p(M: Matrix):
+    """_eliminate over a prime field F_p, on the int residues of the
+    entries; the pivot inverse is x^(p-2) mod p.  Results are boxed as the
+    field's interned elements only at the end."""
+    field = M.ring
+    p, table = field.p, field.table
+    data = [[x.val for x in row] for row in M.data]
+    nrows = M.nrows
+    pivots = []
+    leads = []
+    r = 0
+    for c in range(M.ncols):
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if data[pr][c]:
+                break
+        else:
+            continue
+        lead = data[pr][c]
+        if pr != r:
+            data[r], data[pr] = data[pr], data[r]
+            leads.append(p - lead)
+        else:
+            leads.append(lead)
+        inv = pow(lead, p - 2, p)
+        row = data[r] = [x * inv % p for x in data[r]]
+        for i in range(nrows):
+            f = data[i][c]
+            if f and i != r:
+                data[i] = [(a - f * b) % p for a, b in zip(data[i], row)]
+        pivots.append((r, c))
+        r += 1
+    return ([[table[x] for x in row] for row in data], pivots,
+            [table[x] for x in leads])
+
+
 def rref(M: Matrix):
     """Reduced row echelon form over a field.  Returns (R, pivot_columns)."""
     if not M.ring.is_field:
         raise NotAField(f"row reduction needs a field, got {M.ring!r}")
-    data, pivots, _ = _eliminate(M, _pivot_test(M.ring))
+    data, pivots, _ = _eliminate(M)
     return Matrix(M.ring, data, coerce=False), [c for _, c in pivots]
 
 
@@ -278,7 +360,7 @@ def det(M: Matrix):
         raise NotAField("determinant by elimination needs a field")
     if M.nrows != M.ncols:
         raise BadDimension("determinant of a non-square matrix")
-    _, pivots, leads = _eliminate(M, _pivot_test(M.ring))
+    _, pivots, leads = _eliminate(M)
     if len(pivots) < M.nrows:
         return M.ring.zero
     acc = M.ring.one
@@ -334,7 +416,7 @@ def echelon_local(M: Matrix):
     """Row echelon form using only unit pivots.  Returns (R, pivots) where
     pivots lists (row, col) pairs; rows beyond the pivots may retain
     non-unit entries when the matrix has deficient residual rank."""
-    data, pivots, _ = _eliminate(M, _pivot_test(M.ring))
+    data, pivots, _ = _eliminate(M)
     return Matrix(M.ring, data, coerce=False), pivots
 
 

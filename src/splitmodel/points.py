@@ -80,10 +80,12 @@ class ModelPoint:
 
     Construction validates the point once, with the Kottwitz condition when
     ``kottwitz`` is set, and keeps the outcome in ``report``.  A point whose
-    ranks or containment of G in F fail raises InvalidPoint."""
+    ranks or containment of G in F fail raises InvalidPoint.  ``label`` is
+    None until ``invariants`` computes the stratum label, which it keeps
+    there."""
 
     __slots__ = ("frame", "ring", "F_rows", "G_rows", "r", "s",
-                 "predicted_label", "report")
+                 "predicted_label", "report", "label")
 
     def __init__(self, frame: Frame, F_rows: Matrix, G_rows: Matrix,
                  predicted_label=None, kottwitz=False):
@@ -99,6 +101,7 @@ class ModelPoint:
         self.s = G_rows.nrows
         self.r = n - self.s
         self.predicted_label = predicted_label
+        self.label = None
         if self.s > self.r:
             raise BadParameters("signature needs s <= r")
         self.report = validate(frame, F_rows, G_rows, kottwitz=kottwitz)
@@ -204,7 +207,10 @@ def _kottwitz_check(frame: Frame, cols: Matrix, r: int, s: int):
 
 def invariants(point: ModelPoint) -> StratumLabel:
     """(h, l) of a validated field point: h = dim tF,
-    l = dim(G meet G-perp')."""
+    l = dim(G meet G-perp').  Computed on the first call and kept on the
+    point, so later calls return the same label without work."""
+    if point.label is not None:
+        return point.label
     frame = point.frame
     ring = point.ring
     if not ring.is_field:
@@ -218,7 +224,8 @@ def invariants(point: ModelPoint) -> StratumLabel:
     s = point.s
     if not (0 <= h <= l <= s) or (l - s) % 2 != 0:
         raise InvalidPoint(f"invariant bookkeeping violated: h={h}, l={l}, s={s}")
-    return StratumLabel(h, l)
+    point.label = StratumLabel(h, l)
+    return point.label
 
 
 def stratum_dimension(r: int, s: int, h: int, l: int) -> int:

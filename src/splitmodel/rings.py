@@ -142,7 +142,9 @@ def _find_modulus(p: int, k: int):
 
 class FFElement:
     """Element of a PrimeField.  ``val`` is an int (prime field) or a
-    coefficient tuple of ints (extension field)."""
+    coefficient tuple of ints (extension field).  A prime field builds each
+    of its p elements once, and its arithmetic returns those same objects
+    (see ``PrimeField.table``)."""
 
     __slots__ = ("field", "val")
 
@@ -157,7 +159,7 @@ class FFElement:
         if other.field is not f:
             return NotImplemented
         if f.deg == 1:
-            return FFElement(f, (self.val + other.val) % f.p)
+            return f.table[(self.val + other.val) % f.p]
         p = f.p
         return FFElement(f, tuple((a + b) % p for a, b in zip(self.val, other.val)))
 
@@ -170,7 +172,7 @@ class FFElement:
         if other.field is not f:
             return NotImplemented
         if f.deg == 1:
-            return FFElement(f, (self.val - other.val) % f.p)
+            return f.table[(self.val - other.val) % f.p]
         p = f.p
         return FFElement(f, tuple((a - b) % p for a, b in zip(self.val, other.val)))
 
@@ -180,7 +182,7 @@ class FFElement:
     def __neg__(self):
         f = self.field
         if f.deg == 1:
-            return FFElement(f, (-self.val) % f.p)
+            return f.table[(-self.val) % f.p]
         p = f.p
         return FFElement(f, tuple((-a) % p for a in self.val))
 
@@ -191,7 +193,7 @@ class FFElement:
         if not isinstance(other, FFElement) or other.field is not f:
             return NotImplemented
         if f.deg == 1:
-            return FFElement(f, (self.val * other.val) % f.p)
+            return f.table[(self.val * other.val) % f.p]
         prod = _ipoly_mulmod(list(self.val), list(other.val), list(f.modulus), f.p)
         prod = prod + [0] * (f.deg - len(prod))
         return FFElement(f, tuple(prod))
@@ -212,7 +214,7 @@ class FFElement:
             raise NotInvertible("division by zero in a finite field")
         # Fermat: x^(q-2) is the inverse of every nonzero x in F_q
         if f.deg == 1:
-            return FFElement(f, pow(self.val, f.p - 2, f.p))
+            return f.table[pow(self.val, f.p - 2, f.p)]
         inv = _ipoly_powmod(list(self.val), f.q - 2, list(f.modulus), f.p)
         return FFElement(f, tuple(inv + [0] * (f.deg - len(inv))))
 
@@ -285,8 +287,10 @@ class PrimeField:
         self.is_field = True
         self.is_local = True
         if k == 1:
-            self.zero = FFElement(self, 0)
-            self.one = FFElement(self, 1)
+            # the p elements, indexed by residue; every prime-field result is
+            # one of them, so arithmetic allocates nothing
+            self.table = tuple(FFElement(self, v) for v in range(p))
+            self.zero, self.one = self.table[0], self.table[1]
         else:
             self.zero = FFElement(self, (0,) * k)
             self.one = FFElement(self, (1,) + (0,) * (k - 1))
@@ -294,7 +298,7 @@ class PrimeField:
 
     def from_int(self, c: int) -> FFElement:
         if self.deg == 1:
-            return FFElement(self, c % self.p)
+            return self.table[c % self.p]
         return FFElement(self, (c % self.p,) + (0,) * (self.deg - 1))
 
     def coerce(self, x) -> FFElement:
@@ -311,8 +315,7 @@ class PrimeField:
 
     def elements(self):
         if self.deg == 1:
-            for v in range(self.p):
-                yield FFElement(self, v)
+            yield from self.table
             return
         k, p = self.deg, self.p
         for code in range(self.q):
@@ -325,7 +328,7 @@ class PrimeField:
 
     def random(self, rng) -> FFElement:
         if self.deg == 1:
-            return FFElement(self, rng.randrange(self.p))
+            return self.table[rng.randrange(self.p)]
         return FFElement(self, tuple(rng.randrange(self.p) for _ in range(self.deg)))
 
     def __repr__(self):

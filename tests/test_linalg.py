@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from splitmodel import linalg
 from splitmodel.errors import NotAField, RingUnsupported, Singular
 from splitmodel.linalg import (
     Matrix,
@@ -25,7 +26,7 @@ from splitmodel.linalg import (
     subspaces_iter,
     vstack,
 )
-from splitmodel.rings import FunctionField, PrimeField, SeriesRing
+from splitmodel.rings import FFElement, FunctionField, PrimeField, SeriesRing
 
 F5 = PrimeField(5)
 F3 = PrimeField(3)
@@ -342,3 +343,113 @@ def test_smith_form_local_singular():
     M = Matrix(K, [[K.one, K.one], [K.one, K.one]])
     with pytest.raises(Singular):
         smith_form_local(M)
+
+
+# ---------------------------------------------------------------------------
+# the prime-field int kernels against the element loops
+# ---------------------------------------------------------------------------
+
+PRIME_FIELDS = [PrimeField(q) for q in (3, 5, 7)]
+
+
+def _oracle_cases(field, rng):
+    """Seeded (kind, matrix) pairs over field: "random" square, wide and
+    tall matrices; "deficient" ones, whose last row is a combination of the
+    first two; and "swap" ones, whose leading entry is zero with a one
+    below it, so that elimination must swap rows."""
+    cases = []
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 9)
+        M = rand_matrix(field, rng, nrows, ncols)
+        cases.append(("random", M))
+        if nrows >= 3:
+            data = M.copy_data()
+            a, b = field.random(rng), field.random(rng)
+            data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+            cases.append(("deficient", Matrix(field, data, coerce=False)))
+        if nrows >= 2:
+            data = M.copy_data()
+            data[0][0] = field.zero
+            data[1][0] = field.one
+            cases.append(("swap", Matrix(field, data, coerce=False)))
+    return cases
+
+
+def _triple_loop(A, B):
+    ring = A.ring
+    return [[sum((A.data[i][k] * B.data[k][j] for k in range(A.ncols)),
+                 ring.zero) for j in range(B.ncols)] for i in range(A.nrows)]
+
+
+def _interned(field, entries):
+    return all(type(x) is FFElement and x is field.table[x.val]
+               for x in entries)
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=repr)
+def test_int_product_matches_element_triple_loop(field):
+    rng = random.Random(f"product:{field.q}")
+    for _, A in _oracle_cases(field, rng):
+        B = rand_matrix(field, rng, A.ncols, rng.randrange(1, 9))
+        product = A * B
+        assert product.data == _triple_loop(A, B)
+        assert product.ring is field
+        assert _interned(field, [x for row in product.data for x in row])
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=repr)
+def test_int_elimination_matches_element_kernel(field):
+    rng = random.Random(f"eliminate:{field.q}")
+    cases = _oracle_cases(field, rng)
+    assert {kind for kind, _ in cases} == {"random", "deficient", "swap"}
+    for kind, M in cases:
+        rows, pivots, leads = linalg._eliminate(M)
+        assert (rows, pivots, leads) == linalg._eliminate_elements(M)
+        assert _interned(field, [x for row in rows for x in row] + leads)
+        if kind == "deficient":
+            assert len(pivots) < M.nrows
+        if kind == "swap":
+            assert pivots[0] == (0, 0) and leads[0] == -field.one
+        R, pivot_cols = rref(M)
+        assert R.data == rows and pivot_cols == [c for _, c in pivots]
+        assert rank(M) == len(pivots)
+        if M.nrows == M.ncols <= 5:
+            d = det(M)
+            assert d == _leibniz_det(M)
+            assert _interned(field, [d])
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=repr)
+def test_field_arithmetic_returns_interned_elements(field):
+    elements = list(field.elements())
+    assert elements == [field.from_int(v) for v in range(field.p)]
+    assert field.zero is elements[0] and field.one is elements[1]
+    results = [op(a, b) for a in elements for b in elements
+               for op in (lambda x, y: x + y, lambda x, y: x - y,
+                          lambda x, y: x * y)]
+    results += [-a for a in elements] + [a.inverse() for a in elements[1:]]
+    results += [field.random(random.Random(v)) for v in range(10)]
+    assert _interned(field, results)
+
+
+def test_other_rings_take_the_element_loops(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("int kernel called")
+
+    monkeypatch.setattr(linalg, "_product_mod_p", refuse)
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", refuse)
+    rng = random.Random(21)
+    F9 = PrimeField(9)
+    K = FunctionField(F3, "u")
+    for ring, draw in ((F9, F9.random),
+                       (K, lambda r: K.random_poly(r, 1))):
+        A = Matrix(ring, [[draw(rng) for _ in range(3)] for _ in range(3)])
+        B = Matrix(ring, [[draw(rng) for _ in range(3)] for _ in range(3)])
+        assert (A * B).data == _triple_loop(A, B)
+        assert rref(A)[0].data == linalg._eliminate_elements(A)[0]
+        assert det(A) == _leibniz_det(A)
+    A = rand_matrix(F3, rng, 3, 3)
+    with pytest.raises(AssertionError, match="int kernel"):
+        A * A
+    with pytest.raises(AssertionError, match="int kernel"):
+        rref(A)

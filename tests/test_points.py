@@ -1,9 +1,13 @@
 """Point validation, stratum invariants, chart constructions, censuses."""
 
+import os
 import random
+from collections import Counter
 
 import pytest
 
+from splitmodel import points
+from splitmodel.degenerations import ClosurePoset
 from splitmodel.errors import (
     BadParameters,
     BudgetExceeded,
@@ -21,6 +25,7 @@ from splitmodel.points import (
     chart_point_general,
     chart_point_local,
     invariants,
+    iter_validated_points,
     sample_eps_chart_point,
     stratum_dimension,
     tangent_report,
@@ -308,6 +313,21 @@ def test_census_exhaustive_ignores_workers():
     assert three["params"].pop("workers") == 3
     assert one["params"].pop("workers") == 1
     assert one == three
+
+
+@pytest.mark.skipif(os.environ.get("SPLITMODEL_SLOW") != "1",
+                    reason="walks 126,386 candidates twice; set SPLITMODEL_SLOW=1")
+def test_census_exhaustive_4_2_5():
+    result = census(4, 2, 5, strategy="exhaustive")
+    examined = result.params["examined"]
+    assert examined == 126386
+    # the budget precheck passes at exactly the number of candidates walked
+    next(points._exhaustive_candidates(4, 2, 5, examined))
+    with pytest.raises(BudgetExceeded):
+        next(points._exhaustive_candidates(4, 2, 5, examined - 1))
+    walked = Counter(label for _, label in iter_validated_points(4, 2, 5))
+    assert walked == result.strata
+    assert result.labels() == set(ClosurePoset(2).labels)
 
 
 def test_census_budget():

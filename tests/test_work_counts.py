@@ -1,9 +1,11 @@
 """Work done per point: each per-point fact is computed once.
 
 A candidate is validated once, on construction, and one validation costs
-five eliminations and four matrix products.  The schubert job transfers
-each point to the lattice side once: one label, one F-lattice and one cell
-per point.
+five eliminations and four matrix products.  Over a prime field it builds
+no field element: every result is one of the field's interned elements.
+A point is labelled once, however often its label is asked for.  The
+schubert job transfers each point to the lattice side once: one label, one
+F-lattice and one cell per point.
 """
 
 import json
@@ -11,8 +13,10 @@ import sys
 
 from splitmodel import cli, lattices, linalg, points
 from splitmodel.frame import build_frame
-from splitmodel.linalg import Matrix
-from splitmodel.points import ModelPoint, iter_validated_points
+from splitmodel.lattices import tau_fiber_check
+from splitmodel.linalg import Matrix, Subspace
+from splitmodel.points import ModelPoint, invariants, iter_validated_points
+from splitmodel.rings import FFElement
 
 
 def count_calls(monkeypatch, owner, name):
@@ -50,6 +54,36 @@ def test_one_candidate_runs_five_eliminations_and_four_products(monkeypatch):
         verdicts.append(point.validate().verdict)
         assert (len(eliminations), len(products)) == (5, 4)
     assert verdicts == [True, False]
+
+
+def test_validating_a_census_candidate_builds_no_field_element(monkeypatch):
+    walk = points._exhaustive_candidates(4, 2, 3, 10 ** 8)
+    candidates = [next(walk) for _ in range(40)]
+    assert {c.report.verdict for c in candidates} == {True, False}
+    frame = candidates[0].frame
+    created = count_calls(monkeypatch, FFElement, "__init__")
+    for candidate in candidates:
+        point = ModelPoint(frame, candidate.F_rows, candidate.G_rows)
+        assert point.report == candidate.report
+    assert created == []
+
+
+def test_each_iterated_point_is_labelled_once(monkeypatch):
+    labels = count_calls(monkeypatch, points, "invariants")
+    intersections = count_calls(monkeypatch, Subspace, "intersect")
+    seen = []
+
+    def walk():
+        for point, _ in iter_validated_points(4, 1, 3):
+            seen.append(point)
+            yield point
+
+    report = tau_fiber_check(walk())
+    assert report.ok and report.counts == {1: 40}
+    # one label per point from the walk, one more asked for by the check
+    assert len(labels) == 2 * len(seen) == 80
+    assert len(intersections) == len(seen)
+    assert all(p.label is invariants(p) for p in seen)
 
 
 def test_schubert_transfers_each_point_once(monkeypatch, capsys):
