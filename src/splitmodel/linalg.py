@@ -149,17 +149,16 @@ class Matrix:
             if other.ring is self.ring and _is_prime_field(self.ring):
                 return Matrix(self.ring, _product_mod_p(self, other),
                               coerce=False)
+            # each row of the product accumulates the rows of B scaled by
+            # the nonzero entries of the row of A, as _product_mod_p does
             z = self.ring.zero
-            bt = [other.col(j) for j in range(other.ncols)]
             out = []
             for row in self.data:
-                orow = []
-                for colv in bt:
-                    acc = z
-                    for a, b in zip(row, colv):
-                        acc = acc + a * b
-                    orow.append(acc)
-                out.append(orow)
+                acc = [z] * other.ncols
+                for a, b_row in zip(row, other.data):
+                    if a:
+                        acc = [x + a * y if y else x for x, y in zip(acc, b_row)]
+                out.append(acc)
             return Matrix(self.ring, out, coerce=False)
         c = self.ring.coerce(other)
         return Matrix(self.ring, [[a * c for a in row] for row in self.data],
@@ -175,12 +174,18 @@ class Matrix:
                                   for j in range(self.ncols)], coerce=False)
 
     def apply_to_vector(self, v):
-        z = self.ring.zero
+        ring = self.ring
+        if _is_prime_field(ring):
+            p, table = ring.p, ring.table
+            v = [ring.coerce(b).val for b in v]
+            return [table[sum([a.val * b for a, b in zip(row, v)]) % p]
+                    for row in self.data]
         out = []
         for row in self.data:
-            acc = z
+            acc = ring.zero
             for a, b in zip(row, v):
-                acc = acc + a * b
+                if a and b:
+                    acc = acc + a * b
             out.append(acc)
         return out
 
@@ -299,7 +304,7 @@ def _eliminate_elements(M: Matrix):
         for i in range(nrows):
             if i != r and not data[i][c].is_zero():
                 f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+                data[i] = [a - f * b if b else a for a, b in zip(data[i], data[r])]
         pivots.append((r, c))
         r += 1
     return data, pivots, leads
@@ -624,8 +629,8 @@ def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int):
         for coeffs in quot.basis:
             vec = [field.zero] * lower.ambient
             for c, cv in zip(coeffs, comp):
-                for i in range(lower.ambient):
-                    vec[i] = vec[i] + c * cv[i]
+                if c:
+                    vec = [x + c * y for x, y in zip(vec, cv)]
             vectors.append(vec)
         yield Subspace(field, lower.ambient, vectors)
 

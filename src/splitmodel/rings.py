@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import BadParameters, NotInvertible, RingUnsupported
 
@@ -52,35 +53,45 @@ def _factor_prime_power(q: int):
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomial helpers over int coefficients mod p
-# (extension-field moduli and extension-field arithmetic)
+# (extension-field moduli and arithmetic, and k(v) over a prime field);
+# lists of residues, ascending degree
 # ---------------------------------------------------------------------------
 
 def _ipoly_trim(c):
+    """Strip the trailing zeros of the list c in place; returns c."""
     while c and c[-1] == 0:
-        c = c[:-1]
+        c.pop()
     return c
 
 
-def _ipoly_mulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
+def _ipoly_mul(a, b, p):
+    if not a or not b:
+        return []
+    res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _ipoly_rem(res, mod, p)
+            for j, bj in enumerate(b, i):
+                res[j] += ai * bj
+    return [c % p for c in res]
 
 
-def _ipoly_rem(a, b, p):
-    """Remainder of a on division by b (b trimmed and nonzero), mod p."""
+def _ipoly_divmod(a, b, p):
+    """Quotient and remainder of a on division by b (trimmed, nonzero)."""
     r = _ipoly_trim(list(a))
+    q = [0] * max(len(r) - len(b) + 1, 0)
     inv_lead = pow(b[-1], p - 2, p)
     while len(r) >= len(b):
         c = r[-1] * inv_lead % p
         shift = len(r) - len(b)
-        for i, bi in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * bi) % p
-        r = _ipoly_trim(r)
-    return r
+        q[shift] = c
+        for i, bi in enumerate(b, shift):
+            r[i] = (r[i] - c * bi) % p
+        _ipoly_trim(r)
+    return q, r
+
+
+def _ipoly_rem(a, b, p):
+    return _ipoly_divmod(a, b, p)[1]
 
 
 def _ipoly_powmod(a, e, mod, p):
@@ -88,8 +99,8 @@ def _ipoly_powmod(a, e, mod, p):
     base = _ipoly_rem(a, mod, p)
     while e:
         if e & 1:
-            result = _ipoly_mulmod(result, base, mod, p)
-        base = _ipoly_mulmod(base, base, mod, p)
+            result = _ipoly_rem(_ipoly_mul(result, base, p), mod, p)
+        base = _ipoly_rem(_ipoly_mul(base, base, p), mod, p)
         e >>= 1
     return result
 
@@ -194,7 +205,7 @@ class FFElement:
             return NotImplemented
         if f.deg == 1:
             return f.table[(self.val * other.val) % f.p]
-        prod = _ipoly_mulmod(list(self.val), list(other.val), list(f.modulus), f.p)
+        prod = _ipoly_rem(_ipoly_mul(self.val, other.val, f.p), f.modulus, f.p)
         prod = prod + [0] * (f.deg - len(prod))
         return FFElement(f, tuple(prod))
 
@@ -442,14 +453,45 @@ def poly_str(a, var):
 # rational function fields k(v)
 # ---------------------------------------------------------------------------
 
+def _reduce_mod_p(field, num, den):
+    """Canonical form of num/den, lists of residues mod p: coprime, monic
+    denominator, as tuples of the prime field's interned elements."""
+    p, table = field.p, field.table
+    _ipoly_trim(num)
+    _ipoly_trim(den)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return (), (field.one,)
+    if len(den) > 1 and not any(den[:-1]):
+        # den = c*v^d, so the gcd is v^k with k = min(d, valuation of num)
+        k = min(len(den) - 1, next(i for i, c in enumerate(num) if c))
+        num, den = num[k:], den[k:]
+    elif len(den) > 1:
+        g = _ipoly_gcd(num, den, p)
+        if len(g) > 1:
+            num = _ipoly_divmod(num, g, p)[0]
+            den = _ipoly_divmod(den, g, p)[0]
+    inv = pow(den[-1], p - 2, p)
+    if inv != 1:
+        num = [c * inv % p for c in num]
+        den = [c * inv % p for c in den]
+    return tuple([table[c] for c in num]), tuple([table[c] for c in den])
+
+
 class RationalFunction:
     """Element of a FunctionField, kept in canonical form: numerator and
-    denominator coprime, denominator monic.  Equality is structural."""
+    denominator coprime, denominator monic.  Equality is structural.  Over
+    a prime field the arithmetic runs on residues (_reduce_mod_p), over an
+    extension field on elements; a zero operand costs no polynomial work."""
 
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring, num, den, reduce=True):
-        if reduce:
+        if reduce and ring.base.deg == 1:
+            num, den = _reduce_mod_p(ring.base, [c.val for c in num],
+                                     [c.val for c in den])
+        elif reduce:
             num = poly_trim(num)
             den = poly_trim(den)
             if not den:
@@ -461,11 +503,8 @@ class RationalFunction:
                 if len(g) > 1:
                     num, _ = poly_divmod(num, g, ring.base)
                     den, _ = poly_divmod(den, g, ring.base)
-                lead = den[-1]
-                if lead != ring.base.one:
-                    inv = lead.inverse()
-                    num = poly_scale(num, inv)
-                    den = poly_scale(den, inv)
+                inv = den[-1].inverse()
+                num, den = poly_scale(num, inv), poly_scale(den, inv)
         self.ring = ring
         self.num = num
         self.den = den
@@ -481,12 +520,27 @@ class RationalFunction:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        base = self.ring.base
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        ring = self.ring
+        base = ring.base
+        if base.deg == 1:
+            p = base.p
+            an, bn = [c.val for c in self.num], [c.val for c in o.num]
+            den = [c.val for c in self.den]
+            if self.den != o.den:
+                bd = [c.val for c in o.den]
+                an, bn = _ipoly_mul(an, bd, p), _ipoly_mul(bn, den, p)
+                den = _ipoly_mul(den, bd, p)
+            num = [(x + y) % p for x, y in zip_longest(an, bn, fillvalue=0)]
+            return RationalFunction(ring, *_reduce_mod_p(base, num, den), reduce=False)
         if self.den == o.den:
-            return RationalFunction(self.ring, poly_add(self.num, o.num), self.den)
+            return RationalFunction(ring, poly_add(self.num, o.num), self.den)
         num = poly_add(poly_mul(self.num, o.den, base), poly_mul(o.num, self.den, base))
         den = poly_mul(self.den, o.den, base)
-        return RationalFunction(self.ring, num, den)
+        return RationalFunction(ring, num, den)
 
     __radd__ = __add__
 
@@ -506,10 +560,18 @@ class RationalFunction:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        base = self.ring.base
+        ring = self.ring
+        if not self.num or not o.num:
+            return ring.zero
+        base = ring.base
+        if base.deg == 1:
+            p = base.p
+            num = _ipoly_mul([c.val for c in self.num], [c.val for c in o.num], p)
+            den = _ipoly_mul([c.val for c in self.den], [c.val for c in o.den], p)
+            return RationalFunction(ring, *_reduce_mod_p(base, num, den), reduce=False)
         num = poly_mul(self.num, o.num, base)
         den = poly_mul(self.den, o.den, base)
-        return RationalFunction(self.ring, num, den)
+        return RationalFunction(ring, num, den)
 
     __rmul__ = __mul__
 
@@ -525,7 +587,10 @@ class RationalFunction:
     def inverse(self):
         if self.is_zero():
             raise NotInvertible("division by zero rational function")
-        return RationalFunction(self.ring, self.den, self.num)
+        # den/num is already coprime; only the new denominator needs scaling
+        c = self.num[-1].inverse()
+        return RationalFunction(self.ring, poly_scale(self.den, c),
+                                poly_scale(self.num, c), reduce=False)
 
     def is_zero(self):
         return not self.num

@@ -26,7 +26,13 @@ from splitmodel.linalg import (
     subspaces_iter,
     vstack,
 )
-from splitmodel.rings import FFElement, FunctionField, PrimeField, SeriesRing
+from splitmodel.rings import (
+    FFElement,
+    FunctionField,
+    PolynomialRing,
+    PrimeField,
+    SeriesRing,
+)
 
 F5 = PrimeField(5)
 F3 = PrimeField(3)
@@ -453,3 +459,69 @@ def test_other_rings_take_the_element_loops(monkeypatch):
         A * A
     with pytest.raises(AssertionError, match="int kernel"):
         rref(A)
+
+
+# ---------------------------------------------------------------------------
+# zero-aware element loops against entrywise sums
+# ---------------------------------------------------------------------------
+
+def _element_draws():
+    K = FunctionField(F3, "u")
+    F9 = PrimeField(9)
+    S = SeriesRing(F3, "u", 3)
+    P = PolynomialRing(F3, ["x", "y"])
+    return [
+        (K, lambda r: (K.random_poly(r, 1) * K.monomial(r.randrange(-1, 2))
+                       / (K.gen + K.from_int(r.randrange(1, 3))))),
+        (F9, F9.random),
+        (S, S.random),
+        (P, lambda r: (P.monomial({"x": r.randrange(2), "y": r.randrange(2)},
+                                  r.randrange(3)) + P.from_int(r.randrange(3)))),
+    ]
+
+
+def _sparse_cases(ring, draw, rng):
+    """Diagonal and antidiagonal matrices, and random ones with a zero row,
+    a zero column and about half of the other entries zero."""
+    z = ring.zero
+    cases = []
+    for n in range(1, 5):
+        d = [draw(rng) for _ in range(n)]
+        cases.append([[d[i] if j == i else z for j in range(n)] for i in range(n)])
+        cases.append([[d[i] if j == n - 1 - i else z for j in range(n)]
+                      for i in range(n)])
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+        zr, zc = rng.randrange(nrows), rng.randrange(ncols)
+        cases.append([[draw(rng) if i != zr and j != zc and rng.randrange(2) else z
+                       for j in range(ncols)] for i in range(nrows)])
+    return [Matrix(ring, data, coerce=False) for data in cases]
+
+
+def _dot_rows(M, v):
+    return [sum((a * b for a, b in zip(row, v)), M.ring.zero) for row in M.data]
+
+
+@pytest.mark.parametrize("ring,draw", _element_draws(),
+                         ids=["k(u)", "F_9", "series", "polynomials"])
+def test_sparse_products_match_entrywise_sums(ring, draw):
+    rng = random.Random(f"sparse:{ring!r}")
+    cases = _sparse_cases(ring, draw, rng)
+    for A in cases:
+        partners = [B for B in cases if B.nrows == A.ncols]
+        partners.append(Matrix(ring, [[draw(rng) for _ in range(3)]
+                                      for _ in range(A.ncols)], coerce=False))
+        for B in partners:
+            product = A * B
+            assert product.data == _triple_loop(A, B)
+            assert len({id(row) for row in product.data}) == A.nrows
+        v = [draw(rng) if rng.randrange(2) else ring.zero for _ in range(A.ncols)]
+        assert A.apply_to_vector(v) == _dot_rows(A, v)
+
+
+def test_prime_field_apply_to_vector_matches_element_dot_product():
+    rng = random.Random(33)
+    for M in _sparse_cases(F3, F3.random, rng) + [rand_matrix(F3, rng, 4, 6)]:
+        v = [F3.random(rng) for _ in range(M.ncols)]
+        out = M.apply_to_vector(v)
+        assert out == _dot_rows(M, v) and _interned(F3, out)
+        assert M.apply_to_vector([x.val + 3 for x in v]) == out

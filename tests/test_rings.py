@@ -6,14 +6,20 @@ import pytest
 from splitmodel.errors import BadParameters, NotInvertible, RingUnsupported
 from splitmodel.rings import (
     DualNumbers,
+    FFElement,
     FunctionField,
     PolynomialRing,
     PrimeField,
+    RationalFunction,
     SeriesRing,
     invert,
+    poly_add,
     poly_divmod,
     poly_gcd,
     poly_mul,
+    poly_neg,
+    poly_scale,
+    poly_trim,
     sigma_twist,
     u_valuation,
 )
@@ -302,3 +308,114 @@ def test_coerce_rejects_foreign_elements():
         FunctionField(F3, "u").coerce(F5.one)
     with pytest.raises(RingUnsupported):
         SeriesRing(F3, "v", 2).coerce(FunctionField(F3, "u").gen)
+
+
+# ---------------------------------------------------------------------------
+# k(u) over a prime field on residues against the element helpers
+# ---------------------------------------------------------------------------
+
+def _canonical_by_elements(F, num, den):
+    """num/den in canonical form by the element poly_* helpers: divide out
+    the gcd, then make the denominator monic."""
+    g = poly_gcd(num, den, F)
+    num, den = poly_divmod(num, g, F)[0], poly_divmod(den, g, F)[0]
+    inv = den[-1].inverse()
+    return poly_scale(num, inv), poly_scale(den, inv)
+
+
+def _random_rational_functions(K, rng, count):
+    """Seeded canonical elements of K built by the element helpers: zero,
+    one, constants, Laurent monomials, and ratios of products of small
+    polynomials from one pool, so that operands share factors."""
+    F = K.base
+    pool = [poly_trim(tuple(F.random(rng) for _ in range(rng.randrange(1, 4))))
+            for _ in range(8)]
+    pool = [f for f in pool if f]
+    out = [K.zero, K.one]
+    while len(out) < count:
+        kind = rng.randrange(4)
+        if kind == 0:
+            num, den = poly_trim((F.random(rng),)), (F.one,)
+        elif kind == 1:
+            e = rng.randrange(-3, 4)
+            num = (F.zero,) * max(e, 0) + (F.from_int(rng.randrange(1, F.p)),)
+            den = (F.zero,) * max(-e, 0) + (F.one,)
+        else:
+            num, den = (F.from_int(rng.randrange(1, F.p)),), (F.one,)
+            for _ in range(rng.randrange(3)):
+                num = poly_mul(num, rng.choice(pool), F)
+            for _ in range(rng.randrange(3)):
+                den = poly_mul(den, rng.choice(pool), F)
+        out.append(RationalFunction(K, *_canonical_by_elements(F, num, den),
+                                    reduce=False))
+    return out
+
+
+def _interned(F, entries):
+    return all(type(x) is FFElement and x is F.table[x.val] for x in entries)
+
+
+def _check_against_elements(K, values):
+    F = K.base
+    for a in values:
+        for b in values:
+            cross = poly_mul(a.num, b.den, F), poly_mul(b.num, a.den, F)
+            dens = poly_mul(a.den, b.den, F)
+            cases = [(a * b, poly_mul(a.num, b.num, F), dens),
+                     (a + b, poly_add(*cross), dens),
+                     (a - b, poly_add(cross[0], poly_neg(cross[1])), dens)]
+            if b:
+                cases.append((a / b, cross[0], poly_mul(a.den, b.num, F)))
+            for result, num, den in cases:
+                assert (result.num, result.den) == _canonical_by_elements(F, num, den)
+        if a:
+            inv = a.inverse()
+            assert (inv.num, inv.den) == _canonical_by_elements(F, a.den, a.num)
+        # the reducing constructor, on untrimmed input with a shared factor
+        # and a denominator that is not monic
+        shared = (F.one, F.from_int(2))
+        raw = RationalFunction(K, poly_mul(a.num, shared, F) + (F.zero,),
+                               poly_mul(a.den, shared, F))
+        assert (raw.num, raw.den) == (a.num, a.den)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_residue_arithmetic_matches_element_helpers(q):
+    F = PrimeField(q)
+    K = FunctionField(F, "u")
+    values = _random_rational_functions(K, random.Random(f"rational:{q}"), 30)
+    assert len({(x.num, x.den) for x in values}) >= 15
+    _check_against_elements(K, values)
+    results = [op(a, b) for a in values for b in values
+               for op in (lambda x, y: x * y, lambda x, y: x + y,
+                          lambda x, y: x - y)]
+    assert _interned(F, [c for x in results for c in x.num + x.den])
+    for x in values:
+        assert x * K.zero is K.zero and K.zero * x is K.zero
+        if x:
+            assert x + K.zero is x and K.zero + x is x and x - K.zero is x
+
+
+def test_extension_field_keeps_the_element_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("residue path taken")
+
+    monkeypatch.setattr("splitmodel.rings._reduce_mod_p", refuse)
+    K = FunctionField(PrimeField(9), "u")
+    _check_against_elements(K, _random_rational_functions(K, random.Random(9), 12))
+    K3 = FunctionField(PrimeField(3), "u")
+    with pytest.raises(AssertionError, match="residue path"):
+        K3.gen * K3.gen
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_zero_denominators_and_zero_inverses_still_raise(q):
+    K = FunctionField(PrimeField(q), "u")
+    F = K.base
+    for den in [(), (F.zero,), (F.zero, F.zero)]:
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(K, (F.one,), den)
+    with pytest.raises(NotInvertible):
+        K.zero.inverse()
+    with pytest.raises(NotInvertible):
+        K.gen / K.zero
