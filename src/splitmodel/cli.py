@@ -416,18 +416,19 @@ def _emit(report, cfg):
 # argument surface
 # ---------------------------------------------------------------------------
 
-def _common(default_q=3) -> argparse.ArgumentParser:
+def _common(command) -> argparse.ArgumentParser:
     """Fresh parent parser per subcommand; sharing one would alias the
-    action objects and let a set_defaults on one subparser leak into all."""
+    action objects and let a set_defaults on one subparser leak into all.
+    A subcommand is offered no option that it would ignore."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, default=default_q,
-                        help="prime field size (3, 5, or 7; default "
-                             f"{default_q})")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for every random draw (default 0)")
-    common.add_argument("--truncation", type=int, default=3,
-                        help="series truncation order for obstruction "
-                             "witnesses (default 3)")
+    if command != "closure":  # the closure families live over F_3 and F_9
+        default_q = 5 if command == "flatlift" else 3
+        common.add_argument("--q", type=int, default=default_q,
+                            help="prime field size (3, 5, or 7; default "
+                                 f"{default_q})")
+    if command != "groebner":  # the basis jobs draw nothing at random
+        common.add_argument("--seed", type=int, default=0,
+                            help="seed for every random draw (default 0)")
     common.add_argument("--output", default=None, metavar="PATH",
                         help="report file; bare names land in "
                              f"${OUTPUT_DIR_VAR} when set; default stdout")
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "counterparts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("census", parents=[_common()],
+    p = sub.add_parser("census", parents=[_common("census")],
                        help="count validated points per stratum label")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--s", type=int, default=2)
@@ -456,14 +457,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "(chart-sampled)")
     p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("closure", parents=[_common()],
+    p = sub.add_parser("closure", parents=[_common("closure")],
                        help="closure order, generization lifts, and "
                             "obstruction witnesses")
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--n", type=int, default=None,
                    help="ambient rank (default 2s + 2)")
+    p.add_argument("--truncation", type=int, default=3,
+                   help="series truncation order for obstruction witnesses "
+                        "(default 3)")
 
-    p = sub.add_parser("charts", parents=[_common()],
+    p = sub.add_parser("charts", parents=[_common("charts")],
                        help="seeded chart points against their predicted "
                             "invariants")
     p.add_argument("--n", type=int, default=6)
@@ -471,13 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="number of sampled points (default 1000)")
 
-    p = sub.add_parser("flatlift", parents=[_common(5)],
+    p = sub.add_parser("flatlift", parents=[_common("flatlift")],
                        help="skew-lift identities on seeded invertible "
                             "blocks")
     p.add_argument("--budget", type=int, default=None,
                    help="draws per size profile (default 100)")
 
-    p = sub.add_parser("groebner", parents=[_common()],
+    p = sub.add_parser("groebner", parents=[_common("groebner")],
                        help="reduced bases and membership certificates for "
                             "the chart ideals")
     p.add_argument("--s", type=int, default=2)
@@ -487,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permit the s=4 job, which needs the larger "
                         "variable bound")
 
-    p = sub.add_parser("schubert", parents=[_common()],
+    p = sub.add_parser("schubert", parents=[_common("schubert")],
                        help="lattice cells, pair-test conditions, and fiber "
                             "decomposition")
     p.add_argument("--n", type=int, default=4)

@@ -323,45 +323,15 @@ class WitnessRecord:
                 f"obstructed={self.obstructed})")
 
 
-def _witness_vectors(ring, n, s, h, l):
-    """First-order family at an (h, l)-point displacing two G-directions,
-    plus the second-order corrected partner vector used to read off the
-    obstruction.  eps is the square-zero (or cube-zero) generator."""
-    base = ring.base
-    T = normal_form_gram(h, l, s, n, "general", ring=base).matrix
-    C = chart_transform(n, T, ring)
-    f, tf = _ft_basis(ring, C, n)
-    eps = ring.gen
-    # 1-based positions from the derivation, shifted down once
-    i1, i2 = l - 2, l - 1            # displaced G directions
-    j1, j2 = n - h - 2, n - h - 1    # their pairing partners
-
-    g_rows = []
-    for i in range(s):
-        if i == i1:
-            g_rows.append(_vadd(tf[i1], _vscale(-eps, tf[j2])))
-        elif i == i2:
-            g_rows.append(_vadd(tf[i2], _vscale(eps, tf[j1])))
-        else:
-            g_rows.append(list(tf[i]))
-    f_rows = [list(f[j]) for j in range(h)]
-    for i in range(n - h - 2):
-        if i == i1:
-            f_rows.append(_vadd(tf[i1], _vscale(-eps, tf[j2])))
-        elif i == i2:
-            f_rows.append(_vadd(tf[i2], _vscale(eps, tf[j1])))
-        else:
-            f_rows.append(list(tf[i]))
-    f_rows.append(_vadd(tf[j1], _vscale(eps, f[i2])))
-    f_rows.append(_vadd(tf[j2], _vscale(-eps, f[i1])))
-    return f, tf, f_rows, g_rows
-
-
 def nonsmooth_witness(n: int, s: int, label, order: int = 3) -> WitnessRecord:
     """Dual-number point over an (h, l)-stratum point with h < l that
     validates to first order, together with the exact pairing value any
     second-order extension would have to kill.  The value is 2 eps^2, so the
     direction is obstructed precisely in odd characteristic.
+
+    The point is a point of the chart adapted to the (h, l) stratum,
+    chart_point_general over the dual numbers; the pairing is read in the
+    same chart basis over the series ring.
 
     ``order`` is the series truncation; anything below 3 would silence the
     obstruction term itself and is refused."""
@@ -377,17 +347,21 @@ def nonsmooth_witness(n: int, s: int, label, order: int = 3) -> WitnessRecord:
         raise BadLabel("witness needs a label with h < l")
 
     base = PrimeField(3)
-
+    d = l - h
+    # Z = -Y2 is eps on the last two coordinates of its block, which
+    # displaces G directions l-1 and l towards their pairing partners;
+    # (Y2 - Y2^t) Z is a multiple of eps^2 = 0
     D = DualNumbers(base)
-    frameD = build_frame(n, ring=D)
-    _, _, f_rows, g_rows = _witness_vectors(D, n, s, h, l)
-    report = ModelPoint(frameD, Matrix(D, f_rows, coerce=False),
-                        Matrix(D, g_rows, coerce=False)).report
+    Z = [[D.zero] * d for _ in range(d)]
+    Z[d - 2][d - 1], Z[d - 1][d - 2] = -D.gen, D.gen
+    Z = Matrix(D, Z, coerce=False)
+    report = chart_point_general(n, s, h, l, Y2=-Z, Z=Z, ring=D).report
 
     # read the obstruction one order deeper
     S = SeriesRing(base, "eps", order)
     frameS = build_frame(n, ring=S)
-    f, tf, _, _ = _witness_vectors(S, n, s, h, l)
+    T = normal_form_gram(h, l, s, n, "general", ring=base).matrix
+    f, tf = _ft_basis(S, chart_transform(n, T, S), n)
     eps = S.gen
     i1, i2 = l - 2, l - 1
     j1, j2 = n - h - 2, n - h - 1

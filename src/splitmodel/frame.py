@@ -171,12 +171,12 @@ class NormalFormGram:
         return f"NormalFormGram({self.case}, h={self.h}, l={self.l}, s={self.s}, n={self.n})"
 
 
-def _std_skew(ring, size, sign=1):
-    """[[0, sign*I],[-sign*I, 0]] of even size."""
+def _std_skew(ring, size):
+    """[[0, I],[-I, 0]] of even size."""
     half = size // 2
     I = Matrix.identity(ring, half)
     Z = Matrix.zero(ring, half, half)
-    return Matrix.block(ring, [[Z, I * sign], [-(I * sign), Z]])
+    return Matrix.block(ring, [[Z, I], [-I, Z]])
 
 
 _CASES = ("eps-stratum", "general", "schubert-selfdual", "schubert-pimodular")
@@ -185,63 +185,48 @@ _CASES = ("eps-stratum", "general", "schubert-selfdual", "schubert-pimodular")
 def normal_form_gram(h: int, l: int, s: int, n: int, case: str,
                      ring=None) -> NormalFormGram:
     """The n x n matrix of the alternating (or, in the selfdual case,
-    symmetric) pairing in the chart basis for the given stratum data."""
+    symmetric) pairing in the chart basis for the given stratum data.
+
+    The general case pairs the blocks of sizes (h, l-h, s-l, r-l, l-h, h)
+    antidiagonally, with standard skew forms on the middle two.  The
+    eps-stratum case is the general matrix at (h, l) = (0, s), whatever h
+    and l are passed; schubert-pimodular is the negated general matrix;
+    schubert-selfdual puts identities in place of the skew blocks."""
     if ring is None:
         ring = PrimeField(3)
     if case not in _CASES:
         raise BadParameters(f"unknown case {case!r}")
     if n % 2 != 0 or n < 4:
         raise BadParameters("n must be even and at least 4")
-    m = n // 2
     r = n - s
-    if not (0 <= h <= l <= s <= m):
+    if not (0 <= h <= l <= s <= n // 2):
         raise BadParameters("need 0 <= h <= l <= s <= n/2")
     if case != "schubert-selfdual":
         if (l - s) % 2 != 0:
             raise BadParameters("parity: l and s must agree mod 2")
-    z = ring.zero
-
-    def assemble(blocks, sizes):
-        k = len(sizes)
-        offs = [0]
-        for sz in sizes:
-            offs.append(offs[-1] + sz)
-        data = [[z] * n for _ in range(n)]
-        for (bi, bj), blk in blocks.items():
-            for i in range(sizes[bi]):
-                for j in range(sizes[bj]):
-                    data[offs[bi] + i][offs[bj] + j] = blk.data[i][j]
-        if offs[k] != n:
-            raise BadDimension(f"block sizes add up to {offs[k]}, not {n}")
-        return Matrix(ring, data, coerce=False)
-
-    if case == "eps-stratum":
-        q = (r - s) // 2
-        sizes = [s, q, q, s]
-        Is = Matrix.identity(ring, s)
-        Iq = Matrix.identity(ring, q)
-        T = assemble({(0, 3): Is, (1, 2): Iq, (2, 1): -Iq, (3, 0): -Is}, sizes)
-        return NormalFormGram(h, l, s, n, case, T)
-
-    sizes = [h, l - h, s - l, r - l, l - h, h]
-    Ih = Matrix.identity(ring, h)
-    Ilh = Matrix.identity(ring, l - h)
-    if case == "general":
+    bh, bl = (0, s) if case == "eps-stratum" else (h, l)
+    sizes = [bh, bl - bh, s - bl, r - bl, bl - bh, bh]
+    offs = [sum(sizes[:k]) for k in range(7)]
+    Ih = Matrix.identity(ring, bh)
+    Ilh = Matrix.identity(ring, bl - bh)
+    if case == "schubert-selfdual":
         blocks = {(0, 5): Ih, (1, 4): Ilh,
-                  (2, 2): _std_skew(ring, s - l),
-                  (3, 3): _std_skew(ring, r - l),
+                  (2, 2): Matrix.identity(ring, s - bl),
+                  (3, 3): Matrix.identity(ring, r - bl),
+                  (4, 1): Ilh, (5, 0): Ih}
+    else:
+        blocks = {(0, 5): Ih, (1, 4): Ilh,
+                  (2, 2): _std_skew(ring, s - bl),
+                  (3, 3): _std_skew(ring, r - bl),
                   (4, 1): -Ilh, (5, 0): -Ih}
-    elif case == "schubert-pimodular":
-        blocks = {(0, 5): -Ih, (1, 4): -Ilh,
-                  (2, 2): _std_skew(ring, s - l, sign=-1),
-                  (3, 3): _std_skew(ring, r - l, sign=-1),
-                  (4, 1): Ilh, (5, 0): Ih}
-    else:  # schubert-selfdual
-        blocks = {(0, 5): Ih, (1, 4): Ilh,
-                  (2, 2): Matrix.identity(ring, s - l),
-                  (3, 3): Matrix.identity(ring, r - l),
-                  (4, 1): Ilh, (5, 0): Ih}
-    T = assemble(blocks, sizes)
+    data = [[ring.zero] * n for _ in range(n)]
+    for (bi, bj), blk in blocks.items():
+        for i in range(sizes[bi]):
+            for j in range(sizes[bj]):
+                data[offs[bi] + i][offs[bj] + j] = blk.data[i][j]
+    T = Matrix(ring, data, coerce=False)
+    if case == "schubert-pimodular":
+        T = -T
     return NormalFormGram(h, l, s, n, case, T)
 
 

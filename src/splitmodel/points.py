@@ -296,94 +296,23 @@ def _unit_vec(ring, n, i):
 
 def chart_point_eps(n: int, s: int, X=None, W=None, X0=None, W0=None,
                     ring=None) -> ModelPoint:
-    """Point of the chart around the worst point.
+    """Point of the chart around the worst point.  The worst point lies in
+    the minimal stratum (s mod 2, s), and this is the chart adapted to it:
+    chart_point_general(n, s, s % 2, s) with the parameters as Y2 and Z.
 
-    Even s: parameters X (arbitrary s x s) and W (s x s skew with
-    (X - X^t)W = 0); predicted invariants (rk W, dim ker(X - X^t)).
-    Odd s: X0, W0 of size s-1 with the same relations; the ambient chart
-    pads them with a zero first row and column and adds one extra plain
-    basis vector, so predicted invariants gain 1 + each entry.
+    Even s: X (arbitrary s x s) and W (s x s skew with (X - X^t)W = 0);
+    predicted invariants (rk W, dim ker(X - X^t)).  Odd s: X0, W0 of size
+    s-1 with the same relations; predicted invariants gain 1 each.
     """
-    if ring is None:
-        ring = PrimeField(3)
     if n % 2 != 0 or n < 4 or not (1 <= s <= n // 2):
         raise BadParameters("need even n >= 4 and 1 <= s <= n/2")
-    r = n - s
-    q = (r - s) // 2
     if s % 2 == 0:
         if X0 is not None or W0 is not None:
             raise BadParameters("even s takes X and W")
-        X = _coerce_rect(ring, X, s, s, "X")
-        W = _coerce_rect(ring, W, s, s, "W")
-    else:
-        if X is not None or W is not None:
-            raise BadParameters("odd s takes X0 and W0")
-        X0 = _coerce_rect(ring, X0, s - 1, s - 1, "X0")
-        W0 = _coerce_rect(ring, W0, s - 1, s - 1, "W0")
-        z = ring.zero
-        X = Matrix(ring, [[z] * s] + [[z] + row for row in X0.rows()],
-                   coerce=False)
-        W = Matrix(ring, [[z] * s] + [[z] + row for row in W0.rows()],
-                   coerce=False)
-    if not (W + W.transpose()).is_zero():
-        raise RelationViolated("W must be skew")
-    K = X - X.transpose()
-    if not (K * W).is_zero():
-        raise RelationViolated("(X - X^t) W must vanish")
-
-    frame = build_frame(n, ring=ring)
-    T = normal_form_gram(s, s, s, n, "eps-stratum", ring=_base_field(ring)).matrix
-    C = chart_transform(n, T, ring)
-    zvec = [ring.zero] * n
-
-    def m_col(j):
-        v = [ring.zero] * n
-        v[j] = ring.one
-        for i in range(s):
-            v[n - s + i] = X.data[i][j]
-        return v
-
-    g_t = [m_col(j) for j in range(s)]
-    g_f = [list(zvec) for _ in range(s)]
-
-    f_cols = []
-    t_cols = []
-    # pure image-of-t columns: the s G-columns, then the two q-blocks
-    for j in range(s):
-        f_cols.append(list(zvec))
-        t_cols.append(m_col(j))
-    for j in range(q):
-        f_cols.append(list(zvec))
-        t_cols.append(_unit_vec(ring, n, s + j))
-    for j in range(q):
-        f_cols.append(list(zvec))
-        t_cols.append(_unit_vec(ring, n, s + q + j))
-    XW = X * W
-    if s % 2 == 0:
-        mixed = range(s)
-    else:
-        mixed = range(1, s)
-        # the replaced column: a plain f-vector
-        f_cols.append(_unit_vec(ring, n, 0))
-        t_cols.append(list(zvec))
-    for j in mixed:
-        fv = [ring.zero] * n
-        for i in range(s):
-            fv[i] = W.data[i][j]
-            fv[n - s + i] = XW.data[i][j]
-        f_cols.append(fv)
-        t_cols.append(_unit_vec(ring, n, n - s + j))
-
-    if ring.is_field:
-        # the extra plain basis vector of the odd chart contributes one
-        # more dimension to the image of t
-        h_pred = rank(W) + (0 if s % 2 == 0 else 1)
-        predicted = StratumLabel(h_pred, s - rank(K))
-    else:
-        predicted = None
-    return ModelPoint(frame, *_rows_from_ft_columns(ring, C, f_cols, t_cols,
-                                                    g_f, g_t),
-                      predicted_label=predicted)
+        return chart_point_general(n, s, 0, s, Y2=X, Z=W, ring=ring)
+    if X is not None or W is not None:
+        raise BadParameters("odd s takes X0 and W0")
+    return chart_point_general(n, s, 1, s, Y2=X0, Z=W0, ring=ring)
 
 
 def chart_point_general(n: int, s: int, h: int, l: int, Y2=None, Z=None,
@@ -659,15 +588,13 @@ def random_skew_annihilating(field, rng, W: Matrix):
 
 def sample_eps_chart_point(n, s, field, rng) -> ModelPoint:
     """Seeded random point of the worst-point chart with valid relations."""
-    size = s if s % 2 == 0 else s - 1
+    size = s - s % 2
     W = random_skew(field, rng, size)
     K = random_skew_annihilating(field, rng, W)
     S = random_symmetric(field, rng, size)
     half = (field.one + field.one).inverse()
     Xm = (K + S).map_entries(lambda c: c * half)
-    if s % 2 == 0:
-        return chart_point_eps(n, s, X=Xm, W=W, ring=field)
-    return chart_point_eps(n, s, X0=Xm, W0=W, ring=field)
+    return chart_point_general(n, s, s % 2, s, Y2=Xm, Z=W, ring=field)
 
 
 def sample_general_chart_point(n, s, h, l, field, rng) -> ModelPoint:

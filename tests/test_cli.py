@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -169,3 +170,40 @@ def test_parser_lists_all_subcommands():
     for name in ("census", "closure", "charts", "flatlift", "groebner",
                  "schubert"):
         assert name in text
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_offers_exactly_the_options_it_reads():
+    # a flag the handler ignores would still be echoed into the report
+    # config, so every option is pinned here
+    shared = {"-h", "--help", "--output", "--format"}
+    expected = {
+        "census": {"--q", "--seed", "--n", "--s", "--strategy", "--budget",
+                   "--workers"},
+        "closure": {"--seed", "--truncation", "--n", "--s"},
+        "charts": {"--q", "--seed", "--n", "--s", "--budget"},
+        "flatlift": {"--q", "--seed", "--budget"},
+        "groebner": {"--q", "--s", "--budget", "--allow-long"},
+        "schubert": {"--q", "--seed", "--n", "--s", "--strategy",
+                     "--budget"},
+    }
+    got = {name: {opt for action in sub._actions
+                  for opt in action.option_strings}
+           for name, sub in _subparsers(build_parser()).items()}
+    assert got == {name: opts | shared for name, opts in expected.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    "closure --q 5", "census --truncation 4", "charts --truncation 4",
+    "flatlift --truncation 4", "groebner --truncation 4",
+    "schubert --truncation 4", "groebner --seed 1"])
+def test_flags_a_subcommand_would_ignore_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

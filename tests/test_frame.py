@@ -162,6 +162,24 @@ def test_normal_form_eps_stratum_display():
     assert nf.matrix == expected
 
 
+def test_normal_form_schubert_pimodular_display():
+    # (h, l, s, n) = (1, 3, 3, 8): blocks (h, l-h, s-l, r-l, l-h, h) =
+    # (1, 2, 0, 2, 2, 1), every block the negative of the general one
+    nf = normal_form_gram(1, 3, 3, 8, "schubert-pimodular")
+    o, z = F3.one, F3.zero
+    expected = Matrix(F3, [
+        [z, z, z, z, z, z, z, -o],
+        [z, z, z, z, z, -o, z, z],
+        [z, z, z, z, z, z, -o, z],
+        [z, z, z, z, -o, z, z, z],
+        [z, z, z, o, z, z, z, z],
+        [z, o, z, z, z, z, z, z],
+        [z, z, o, z, z, z, z, z],
+        [o, z, z, z, z, z, z, z],
+    ], coerce=False)
+    assert nf.matrix == expected
+
+
 def test_normal_form_general_h0_l0():
     # (h,l) = (0,0): block-diagonal with skew blocks of sizes s and r
     n, s = 8, 2
