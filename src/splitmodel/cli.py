@@ -9,8 +9,9 @@ skew-lift identities, ``groebner`` computes reduced bases with membership
 certificates, and ``schubert`` runs the lattice-side comparison.
 
 Exit status 0 means every enabled check passed, 1 means the report contains
-at least one failing certificate, and 2 means the configuration was
-rejected before any checking started.  Reports carry no timestamps and all
+at least one failing certificate or the ``fault`` that stopped the run, and
+2 means the configuration was rejected before any checking started or the
+job exceeded its budget.  Reports carry no timestamps and all
 randomness is seeded, so a rerun with identical configuration reproduces
 the output byte for byte.
 """
@@ -40,7 +41,7 @@ from .degenerations import (
     generization_lift,
     nonsmooth_witness,
 )
-from .errors import SplitModelError
+from .errors import BudgetExceeded, SplitModelError
 from .lattices import _fiber_report, _phi_image, _shifted_cell
 from .linalg import Matrix, det
 from .points import (
@@ -397,7 +398,7 @@ def _report_text(report, fmt):
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     # csv is the flat strata projection of one census
-    rows = report["census"]["strata"]
+    rows = report["census"]["strata"] if "census" in report else []
     lines = ["h,l,count"]
     lines += [f"{row['h']},{row['l']},{row['count']}" for row in rows]
     return "\n".join(lines) + "\n"
@@ -517,7 +518,12 @@ def main(argv=None) -> int:
         body, failures = _HANDLERS[cfg.command](cfg)
     except SplitModelError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 2
+        if isinstance(err, BudgetExceeded):
+            return 2
+        # a fault inside a check fails the run; it is not a rejected config
+        body = {"fault": {"exception": type(err).__name__,
+                          "message": str(err)}}
+        failures = 1
     report = {"schema": SCHEMA_VERSION, "config": cfg.to_json_dict(),
               "failures": failures}
     report.update(body)

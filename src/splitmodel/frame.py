@@ -75,7 +75,7 @@ class Frame:
         """The span of the last n basis vectors (image of t in the special
         fiber)."""
         rows = [self.basis_vector(self.n + i) for i in range(1, self.n + 1)]
-        return Subspace(self.ring, 2 * self.n, rows)
+        return Subspace(self.ring, 2 * self.n, rows, coerce=False)
 
     def in_t_lambda(self, v) -> bool:
         return all(self.ring.coerce(x).is_zero() for x in v[: self.n])
@@ -148,7 +148,7 @@ def orthogonal(frame: Frame, U: Subspace, kind: str = "symmetric") -> Subspace:
         ker = kernel_basis(tails * frame.gram_mod)
         z = ring.zero
         vectors = [[z] * frame.n + list(v) for v in ker]
-        return Subspace(ring, n2, vectors)
+        return Subspace(ring, n2, vectors, coerce=False)
     raise BadParameters(f"unknown pairing kind {kind!r}")
 
 

@@ -12,6 +12,7 @@ field, localized at that variable.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .errors import (
     BadDimension,
@@ -111,6 +112,8 @@ class Matrix:
     def rows(self):
         return [list(r) for r in self.data]
 
+    copy_data = rows
+
     def cols(self):
         return [self.col(j) for j in range(self.ncols)]
 
@@ -121,9 +124,6 @@ class Matrix:
     def map_entries(self, fn, ring=None):
         ring = ring or self.ring
         return Matrix(ring, [[fn(x) for x in row] for row in self.data], coerce=False)
-
-    def copy_data(self):
-        return [list(r) for r in self.data]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -478,15 +478,16 @@ def columns_contain(A: Matrix, B: Matrix) -> bool:
 
 class Subspace:
     """A linear subspace of ring^n stored by its canonical reduced row
-    echelon basis, so == and hash are structural."""
+    echelon basis, so == and hash are structural.  ``coerce=False`` takes
+    vectors whose entries are elements of the ring already."""
 
     __slots__ = ("ring", "ambient", "basis", "pivots")
 
-    def __init__(self, ring, ambient, vectors):
+    def __init__(self, ring, ambient, vectors, coerce=True):
         self.ring = ring
         self.ambient = ambient
         if vectors:
-            M = Matrix.from_rows(ring, vectors)
+            M = Matrix(ring, [list(v) for v in vectors], coerce=coerce)
             if M.ncols != ambient:
                 raise BadDimension("vector length differs from ambient dimension")
             R, pivots = rref(M)
@@ -501,9 +502,7 @@ class Subspace:
         return len(self.basis)
 
     def matrix(self) -> Matrix:
-        if not self.basis:
-            return Matrix(self.ring, [], coerce=False)
-        return Matrix.from_rows(self.ring, self.basis)
+        return Matrix(self.ring, [list(r) for r in self.basis], coerce=False)
 
     def reduce(self, v):
         """The remainder of v, an iterable of ring elements, modulo the
@@ -517,15 +516,14 @@ class Subspace:
         return v
 
     def contains_vector(self, v) -> bool:
-        v = self.reduce(self.ring.coerce(x) for x in v)
-        return all(x.is_zero() for x in v)
+        return not any(self.reduce(self.ring.coerce(x) for x in v))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis)
+        return not any(any(self.reduce(row)) for row in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ring, self.ambient,
-                        [list(r) for r in self.basis + other.basis])
+        return Subspace(self.ring, self.ambient, self.basis + other.basis,
+                        coerce=False)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.dim == 0 or other.dim == 0:
@@ -534,23 +532,20 @@ class Subspace:
         B = other.matrix().transpose()
         # x = A a = B b; kernel of [A | -B] gives the coefficient pairs
         K = kernel_basis(hstack(A, -B))
-        vectors = []
-        for k in K:
-            a = k[: self.dim]
-            vec = [self.ring.zero] * self.ambient
-            for coeff, row in zip(a, self.basis):
-                for i in range(self.ambient):
-                    vec[i] = vec[i] + coeff * row[i]
-            vectors.append(vec)
-        return Subspace(self.ring, self.ambient, vectors)
+        if not K:
+            return Subspace(self.ring, self.ambient, [])
+        coeffs = Matrix(self.ring, [k[: self.dim] for k in K], coerce=False)
+        return Subspace(self.ring, self.ambient,
+                        (coeffs * self.matrix()).data, coerce=False)
 
     def perp(self, gram: Matrix) -> "Subspace":
         """Vectors v with (basis row) . gram . v = 0 for every basis row."""
         if self.dim == 0:
             return Subspace(self.ring, self.ambient,
-                            Matrix.identity(self.ring, self.ambient).rows())
+                            Matrix.identity(self.ring, self.ambient).rows(),
+                            coerce=False)
         M = self.matrix() * gram
-        return Subspace(self.ring, self.ambient, kernel_basis(M))
+        return Subspace(self.ring, self.ambient, kernel_basis(M), coerce=False)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.ring is self.ring
@@ -568,17 +563,11 @@ def subspaces_iter(field, ambient: int, dim: int):
     RREF pattern."""
     if dim < 0 or dim > ambient:
         return
-    if dim == 0:
-        yield Subspace(field, ambient, [])
-        return
     els = list(field.elements())
     for pivots in itertools.combinations(range(ambient), dim):
         # free positions: right of the pivot, not a pivot column
-        free = []
-        for r, p in enumerate(pivots):
-            for c in range(p + 1, ambient):
-                if c not in pivots:
-                    free.append((r, c))
+        free = [(r, c) for r, p in enumerate(pivots)
+                for c in range(p + 1, ambient) if c not in pivots]
         for values in itertools.product(els, repeat=len(free)):
             rows = [[field.zero] * ambient for _ in range(dim)]
             for r, p in enumerate(pivots):
@@ -603,36 +592,80 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int):
-    """Subspaces S with lower <= S <= upper and dim(S) = dim.
-
-    Enumerated through the quotient upper/lower, so the count is the
-    Gaussian binomial of (dim(upper)-dim(lower)) choose (dim-dim(lower)).
-    """
+def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int,
+                                gram: Matrix):
+    """Subspaces S with lower <= S <= upper and dim(S) = dim that are
+    totally isotropic for gram (x . gram . y = 0 for all x, y in S), in the
+    order of subspaces_iter over the quotient upper/lower.  A depth-first
+    walk over the rows of the RREF patterns of S/lower admits a row only
+    when it pairs to zero with itself, with lower on either side and with
+    the rows chosen before it, so no other S is built.  Yields nothing when
+    lower is not totally isotropic.  Over F_p the rows are checked on ints."""
     field = lower.ring
     if not upper.contains(lower):
         raise BadDimension("lower subspace not inside upper subspace")
-    d = dim - lower.dim
+    d, e = dim - lower.dim, lower.dim
     if d < 0 or dim > upper.dim:
         return
     # complement vectors of lower inside upper
     comp = []
     current = lower
     for row in upper.basis:
-        if not current.contains_vector(row):
+        if any(current.reduce(row)):
             comp.append(list(row))
-            current = current.sum(Subspace(field, lower.ambient, [list(row)]))
-    if len(comp) != upper.dim - lower.dim:
+            current = Subspace(field, lower.ambient, current.basis + (row,),
+                               coerce=False)
+    k = len(comp)
+    if k != upper.dim - e:
         raise BadDimension("complement of lower inside upper has the wrong size")
-    for quot in subspaces_iter(field, len(comp), d):
-        vectors = [list(r) for r in lower.basis]
-        for coeffs in quot.basis:
-            vec = [field.zero] * lower.ambient
-            for c, cv in zip(coeffs, comp):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, cv)]
-            vectors.append(vec)
-        yield Subspace(field, lower.ambient, vectors)
+    # P pairs the rows of lower and the complement vectors; a row c of
+    # S/lower stands for c . C and pairs with a row c' as c M c'^t, and with
+    # lower as c . w for the rows w of `pairings`
+    W = Matrix(field, [list(r) for r in lower.basis] + comp, coerce=False)
+    P = (W * gram * W.transpose()).data if W.nrows else []
+    if _is_prime_field(field):
+        p, table = field.p, field.table
+        P = [[x.val for x in row] for row in P]
+        dot = lambda u, v: sum(map(mul, u, v)) % p
+        box = lambda row: [table[x] for x in row]
+        values, zero, one = range(p), 0, 1
+    else:
+        dot = lambda u, v: sum(map(mul, u, v), field.zero)
+        box = list
+        values, zero, one = list(field.elements()), field.zero, field.one
+    if any(any(row[:e]) for row in P[:e]):
+        return
+    C = Matrix(field, comp, coerce=False)
+    M = [row[e:] for row in P[e:]]
+    Mt = [list(col) for col in zip(*M)]
+    pairings = [w for w in [row[e:] for row in P[:e]] + list(zip(*P[e:]))[:e]
+                if any(w)]
+
+    def walk(pivots, r, chosen, constraints):
+        if r == d:
+            yield chosen
+            return
+        free = [c for c in range(pivots[r] + 1, k) if c not in pivots]
+        row = [zero] * k
+        row[pivots[r]] = one
+        for vals in itertools.product(values, repeat=len(free)):
+            for c, v in zip(free, vals):
+                row[c] = v
+            if any(dot(row, w) for w in constraints):
+                continue
+            Mrow = [dot(m, row) for m in M]
+            if dot(row, Mrow):
+                continue
+            # later rows c must satisfy c M row^t = 0 = row M c^t
+            new = [Mrow] if M == Mt else [Mrow, [dot(m, row) for m in Mt]]
+            yield from walk(pivots, r + 1, chosen + [box(row)],
+                            constraints + new)
+
+    for pivots in itertools.combinations(range(k), d):
+        for chosen in walk(pivots, 0, [], pairings):
+            rows = (Matrix(field, chosen, coerce=False) * C).data if d else []
+            yield Subspace(field, lower.ambient, lower.basis + tuple(rows),
+                           coerce=False)
 
 
 # ---------------------------------------------------------------------------

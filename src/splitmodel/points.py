@@ -503,35 +503,44 @@ _REJECT_REASONS = {"ranks": "rank", "containment": "rank",
                    "splitting_b": "splitting-b", "spin": "spin"}
 
 
-def _exhaustive_candidates(n, s, q, budget):
-    """Yield every candidate point of the exhaustive walk, validated: G
-    over the s-dimensional subspaces of the image of t, then F over the
-    interval [G + G-perp', preimage of G under t].  Raises BudgetExceeded
-    before the first candidate when the candidate count exceeds budget."""
-    field = PrimeField(q)
-    frame = build_frame(n, ring=field)
-    n2 = 2 * n
+def _intervals(frame, s):
+    """(G, L, U) for each G of the exhaustive walk: G over the
+    s-dimensional subspaces of the image of t, L = G + G-perp' and U the
+    preimage of G under t."""
+    field, n = frame.ring, frame.n
     zrow = [field.zero] * n
-
-    # candidate count precheck: sum over G of the intermediate-subspace count
-    per_g = []
-    total = 0
+    t_lambda = list(frame.t_lambda().basis)
     for Gproj in subspaces_iter(field, n, s):
-        G = Subspace(field, n2, [zrow + list(row) for row in Gproj.basis])
+        G = Subspace(field, 2 * n, [zrow + list(row) for row in Gproj.basis],
+                     coerce=False)
         L = G.sum(orthogonal(frame, G, "modified"))
-        total += gaussian_binomial(s + n - L.dim, n - L.dim, q)
-        per_g.append((G, L))
+        U = Subspace(field, 2 * n, [list(row[n:]) + zrow for row in G.basis]
+                     + t_lambda, coerce=False)
+        yield G, L, U
+
+
+def _exhaustive_walk(n, s, q, budget):
+    """(count, candidates) of the exhaustive walk: count is the number of F
+    in the intervals [L, U], summed over G, and candidates yields the
+    points (F, G) with F totally isotropic, each validated in full,
+    isotropy included; the walker builds no other F.  Raises
+    BudgetExceeded when count exceeds budget."""
+    frame = build_frame(n, ring=PrimeField(q))
+    per_g = list(_intervals(frame, s))
+    total = sum(gaussian_binomial(U.dim - L.dim, n - L.dim, q)
+                for _, L, U in per_g)
     if total > budget:
         raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
+    return total, (ModelPoint(frame, F.matrix(), G.matrix())
+                   for G, L, U in per_g
+                   for F in intermediate_subspaces_iter(L, U, n,
+                                                        frame.gram_sym))
 
-    for G, L in per_g:
-        upper_rows = ([list(row[n:]) + [field.zero] * n for row in G.basis]
-                      + [[field.zero] * n + row for row in
-                         Matrix.identity(field, n).rows()])
-        U = Subspace(field, n2, upper_rows)
-        G_rows = Matrix.from_rows(field, [list(rw) for rw in G.basis])
-        for F in intermediate_subspaces_iter(L, U, n):
-            yield ModelPoint(frame, F.matrix(), G_rows)
+
+def _exhaustive_candidates(n, s, q, budget):
+    """The candidates of _exhaustive_walk; raises BudgetExceeded at the
+    first step when their count exceeds budget."""
+    yield from _exhaustive_walk(n, s, q, budget)[1]
 
 
 def random_skew(field, rng, size):
@@ -629,7 +638,9 @@ def census(n: int, s: int, q: int, strategy: str = "exhaustive",
 
     Exhaustive strategy enumerates G over the s-dimensional subspaces of
     the image of t, then F over the interval [G + G-perp', preimage of G
-    under t]; every candidate runs the full validator.  Chart-sampled
+    under t]; every yielded candidate runs the full validator, and the
+    candidates the walker skips, which are not totally isotropic, count as
+    isotropy rejections.  `examined` counts both.  Chart-sampled
     strategy draws `budget` seeded random points of the worst-point chart,
     in `workers` seeded draw streams; the exhaustive walk does not depend
     on `workers`.
@@ -639,16 +650,17 @@ def census(n: int, s: int, q: int, strategy: str = "exhaustive",
     if workers < 1:
         raise BadParameters("workers must be positive")
     if strategy == "exhaustive":
-        candidates = _exhaustive_candidates(n, s, q, budget)
+        examined, candidates = _exhaustive_walk(n, s, q, budget)
     elif strategy == "chart-sampled":
+        examined = budget
         candidates = _sampled_candidates(n, s, q, budget, seed, workers)
     else:
         raise BadParameters(f"unknown strategy {strategy!r}")
     strata = {}
     rejected = dict.fromkeys(_REJECT_REASONS.values(), 0)
-    examined = mismatches = 0
+    walked = mismatches = 0
     for point in candidates:
-        examined += 1
+        walked += 1
         if not point.report.verdict:
             rejected[_REJECT_REASONS[point.report.first_failure()]] += 1
             continue
@@ -656,6 +668,7 @@ def census(n: int, s: int, q: int, strategy: str = "exhaustive",
         if point.predicted_label is not None and lab != point.predicted_label:
             mismatches += 1
         strata[lab] = strata.get(lab, 0) + 1
+    rejected["isotropy"] += examined - walked
     params = {"n": n, "s": s, "q": q, "strategy": strategy,
               "budget": budget, "workers": workers, "examined": examined}
     if strategy == "chart-sampled":

@@ -151,6 +151,13 @@ def _find_modulus(p: int, k: int):
 # finite fields
 # ---------------------------------------------------------------------------
 
+def _interned(cls, key):
+    """The one instance of the cached ring class cls for key."""
+    if key not in cls._cache:
+        cls._cache[key] = object.__new__(cls)
+    return cls._cache[key]
+
+
 class FFElement:
     """Element of a PrimeField.  ``val`` is an int (prime field) or a
     coefficient tuple of ints (extension field).  A prime field builds each
@@ -278,11 +285,7 @@ class PrimeField:
     _cache: dict = {}
 
     def __new__(cls, q: int):
-        if q in cls._cache:
-            return cls._cache[q]
-        inst = super().__new__(cls)
-        cls._cache[q] = inst
-        return inst
+        return _interned(cls, q)
 
     def __init__(self, q: int):
         if getattr(self, "_ready", False):
@@ -682,12 +685,7 @@ class FunctionField:
     _cache: dict = {}
 
     def __new__(cls, base: PrimeField, var: str = "u"):
-        key = (id(base), var)
-        if key in cls._cache:
-            return cls._cache[key]
-        inst = super().__new__(cls)
-        cls._cache[key] = inst
-        return inst
+        return _interned(cls, (id(base), var))
 
     def __init__(self, base: PrimeField, var: str = "u"):
         if getattr(self, "_ready", False):
@@ -870,12 +868,7 @@ class SeriesRing:
     _cache: dict = {}
 
     def __new__(cls, base, var="u", N=4):
-        key = (cls, id(base), var, N)
-        if key in SeriesRing._cache:
-            return SeriesRing._cache[key]
-        inst = super().__new__(cls)
-        SeriesRing._cache[key] = inst
-        return inst
+        return _interned(cls, (cls, id(base), var, N))
 
     def __init__(self, base: PrimeField, var: str = "u", N: int = 4):
         if getattr(self, "_ready", False):
@@ -1133,12 +1126,7 @@ class PolynomialRing:
     _cache: dict = {}
 
     def __new__(cls, base: PrimeField, names, order: str = "degrevlex"):
-        key = (id(base), tuple(names), order)
-        if key in cls._cache:
-            return cls._cache[key]
-        inst = super().__new__(cls)
-        cls._cache[key] = inst
-        return inst
+        return _interned(cls, (id(base), tuple(names), order))
 
     def __init__(self, base: PrimeField, names, order: str = "degrevlex"):
         if getattr(self, "_ready", False):

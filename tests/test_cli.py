@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from splitmodel import cli
 from splitmodel.cli import build_parser, main
+from splitmodel.errors import ConstructionFailed, InvalidPoint, Singular
 
 
 def _run(argv, capsys):
@@ -207,3 +209,31 @@ def test_flags_a_subcommand_would_ignore_are_rejected(argv, capsys):
         main(argv.split())
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, target, error", [
+    (["census", "--n", "4", "--s", "1"], "census", InvalidPoint),
+    (["closure", "--s", "2"], "generization_lift", ConstructionFailed),
+    (["charts", "--budget", "2"], "invariants", InvalidPoint),
+    (["flatlift", "--budget", "1"], "flat_lift", Singular),
+    (["groebner", "--s", "2"], "groebner", Singular),
+    (["schubert", "--n", "4", "--s", "1"], "_shifted_cell", ConstructionFailed),
+])
+def test_fault_inside_a_check_exits_1(monkeypatch, capsys, argv, target,
+                                      error):
+    def fault(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, target, fault)
+    code, out, err = _run(argv, capsys)
+    report = json.loads(out)
+    assert code == 1 and report["failures"] >= 1
+    assert report["fault"] == {"exception": error.__name__,
+                               "message": "forced"}
+    assert err.startswith(error.__name__)
+
+
+def test_census_over_budget_exits_2(capsys):
+    code, out, err = _run(["census", "--budget", "100"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("BudgetExceeded")

@@ -276,7 +276,7 @@ def test_subspaces_iter_counts():
 def test_intermediate_subspaces():
     lower = Subspace(F3, 4, [[1, 0, 0, 0]])
     upper = Subspace(F3, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    mids = list(intermediate_subspaces_iter(lower, upper, 2))
+    mids = list(intermediate_subspaces_iter(lower, upper, 2, Matrix.zero(F3, 4, 4)))
     assert len(mids) == gaussian_binomial(2, 1, 3)
     for m in mids:
         assert m.contains(lower) and upper.contains(m) and m.dim == 2

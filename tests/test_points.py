@@ -315,8 +315,6 @@ def test_census_exhaustive_ignores_workers():
     assert one == three
 
 
-@pytest.mark.skipif(os.environ.get("SPLITMODEL_SLOW") != "1",
-                    reason="walks 126,386 candidates twice; set SPLITMODEL_SLOW=1")
 def test_census_exhaustive_4_2_5():
     result = census(4, 2, 5, strategy="exhaustive")
     examined = result.params["examined"]
@@ -327,6 +325,17 @@ def test_census_exhaustive_4_2_5():
         next(points._exhaustive_candidates(4, 2, 5, examined - 1))
     walked = Counter(label for _, label in iter_validated_points(4, 2, 5))
     assert walked == result.strata
+    assert result.labels() == set(ClosurePoset(2).labels)
+
+
+@pytest.mark.skipif(os.environ.get("SPLITMODEL_SLOW") != "1",
+                    reason="walks 480,571 candidates; set SPLITMODEL_SLOW=1")
+def test_census_exhaustive_6_2_3():
+    result = census(6, 2, 3, strategy="exhaustive")
+    examined = result.params["examined"]
+    assert examined == 480571
+    assert examined == points._exhaustive_walk(6, 2, 3, examined)[0]
+    assert examined - result.rejected["isotropy"] == 36491
     assert result.labels() == set(ClosurePoset(2).labels)
 
 

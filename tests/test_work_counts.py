@@ -17,7 +17,8 @@ from splitmodel import cli, lattices, linalg, points, rings
 from splitmodel.frame import build_frame
 from splitmodel.lattices import phi_map, tau_fiber_check
 from splitmodel.linalg import Matrix, Subspace
-from splitmodel.points import (ModelPoint, invariants, iter_validated_points,
+from splitmodel.points import (ModelPoint, census, invariants,
+                               iter_validated_points,
                                sample_general_chart_point)
 from splitmodel.rings import FFElement, PrimeField, RationalFunction
 
@@ -69,6 +70,15 @@ def test_validating_a_census_candidate_builds_no_field_element(monkeypatch):
         point = ModelPoint(frame, candidate.F_rows, candidate.G_rows)
         assert point.report == candidate.report
     assert created == []
+
+
+def test_census_coerces_few_field_elements(monkeypatch):
+    # subspaces built from field elements (the walker's F, sum, intersect,
+    # perp, orthogonal, matrix()) are not coerced into the field again;
+    # before that, census 4/2/3 made 402,962 coerce calls
+    coerced = count_calls(monkeypatch, PrimeField, "coerce")
+    census(4, 2, 3)
+    assert len(coerced) <= 10000
 
 
 def test_each_iterated_point_is_labelled_once(monkeypatch):
