@@ -129,7 +129,7 @@ def test_walker_count_per_g_is_the_closed_form(n, s, q):
         assert count == split_space_count(k, q)
 
 
-@pytest.mark.parametrize("q", [3, 5, pytest.param(7, marks=slow)])
+@pytest.mark.parametrize("q", [3, 5, 7])
 def test_census_4_2_q_strata_from_the_g(q):
     frame = build_frame(4, ring=PrimeField(q))
     by_l = Counter(G.intersect(orthogonal(frame, G, "modified")).dim
