@@ -331,10 +331,12 @@ def test_census_exhaustive_4_2_5():
 @pytest.mark.skipif(os.environ.get("SPLITMODEL_SLOW") != "1",
                     reason="walks 480,571 candidates; set SPLITMODEL_SLOW=1")
 def test_census_exhaustive_6_2_3():
-    result = census(6, 2, 3, strategy="exhaustive")
+    # the budget precheck passes at exactly the number of candidates counted
+    result = census(6, 2, 3, strategy="exhaustive", budget=480571)
     examined = result.params["examined"]
     assert examined == 480571
-    assert examined == points._exhaustive_walk(6, 2, 3, examined)[0]
+    with pytest.raises(BudgetExceeded):
+        points._exhaustive_walk(6, 2, 3, examined - 1)
     assert examined - result.rejected["isotropy"] == 36491
     assert result.labels() == set(ClosurePoset(2).labels)
 
