@@ -10,9 +10,27 @@ matching cells against (h, l) labels.
 
 Two rank parities occur.  Even rank uses the base lattice with the first
 half of the standard basis divided by u and satisfies dual(L) = u*L on its
-locus; odd rank uses the plain integral lattice and dual(L) = L.  All
-arithmetic is exact rational-function arithmetic; no truncation enters any
-check.
+locus; odd rank uses the plain integral lattice and dual(L) = L.
+
+The transfer runs on window lattices.  A lattice L between u^2*lam and
+u^-2*lam, lam = standard_lattice(n, n/2) with columns lam_j, is the full
+preimage of its image in W = u^-2*lam / u^2*lam, a u-stable subspace that
+determines L exactly.  W has the F_q-basis u^k*lam_j, k = -2, -1, 0, 1, in
+blocks of n coordinates by ascending k, and every step is row reduction:
+- a frame row (a, b) lifts to sum_j (a_j + b_j*u)*lam_j: a in block 0, b in
+  block 1, and the frame operator acts as u;
+- u^d*L is the image under u^d (d > 0) or the preimage (d < 0), refused
+  with ConstructionFailed when it would leave the window;
+- u^-1*dual(L) is the orthogonal for B(u^k lam_i, u^l lam_j) = (-1)^k s_i
+  if k + l = -1 and j = n-1-i, else 0 (s_i = -1 for i < n/2, else +1), the
+  u^-2 coefficient of the hermitian-phi form;
+- block k holds one pivot per exponent e <= k of L relative to lam; the
+  other exponents are 2;
+- outer/inner is free of rank r and killed by u exactly when inner <= outer,
+  u*outer <= inner, and the dimensions differ by r.
+k(u) lattices are built on that path only for output (the pair phi_map
+returns, failure certificates), and the k(u) operations are the reference
+the window operations are tested against.  No arithmetic is truncated.
 """
 
 from __future__ import annotations
@@ -92,12 +110,11 @@ def _hermite_columns(field: FunctionField, cols, n: int) -> Matrix:
             raise Singular("columns do not span a full-rank lattice")
         v, idx = best
         p = work.pop(idx)
-        unit = field.monomial(v) / p[i]
+        unit = p[i].inverse().shift(v)
         p = [unit * x for x in p]
-        uv = field.monomial(v)
         for c in work:
             if not c[i].is_zero():
-                q = c[i] / uv
+                q = c[i].shift(-v)
                 for r in range(i, n):
                     c[r] = c[r] - q * p[r]
         pivots.append((v, p))
@@ -105,14 +122,12 @@ def _hermite_columns(field: FunctionField, cols, n: int) -> Matrix:
     # reduce entries left of each pivot to their tail below the pivot power
     for i in range(1, n):
         ai, pcol = pivots[i]
-        ua = field.monomial(ai)
         for j in range(i):
             cj = pivots[j][1]
             x = cj[i]
             if x.is_zero():
                 continue
-            rem = x.truncate_below(ai)
-            q = (x - rem) / ua
+            q = (x - x.truncate_below(ai)).shift(-ai)
             if not q.is_zero():
                 for r in range(i, n):
                     cj[r] = cj[r] - q * pcol[r]
@@ -151,6 +166,17 @@ class LaurentLattice:
         if c.is_zero():
             raise BadParameters("cannot scale a lattice by zero")
         return LaurentLattice(self.ring, self.matrix * c)
+
+    def shifted(self, d: int) -> "LaurentLattice":
+        """u^d * L."""
+        return self.scaled(self.ring.monomial(d))
+
+    def shifted_dual(self) -> "LaurentLattice":
+        """u^-1 * dual(L) under the hermitian-phi form."""
+        return lattice_dual(self).shifted(-1)
+
+    def contains(self, other: "LaurentLattice") -> bool:
+        return lattice_contains(self, other)
 
     def contains_vector(self, vec) -> bool:
         v = [self.ring.coerce(x) for x in vec]
@@ -243,6 +269,81 @@ def lattice_contains(outer: LaurentLattice, inner: LaurentLattice) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# window lattices: u^2*lam <= L <= u^-2*lam as subspaces of W
+# ---------------------------------------------------------------------------
+
+class WindowLattice(Subspace):
+    """A lattice between u^2*lam and u^-2*lam, held as its image in W: a
+    u-stable subspace of F_q^(4n) in the block coordinates of the module
+    docstring.  Equality and containment are those of the subspaces."""
+
+    __slots__ = ()
+
+    @property
+    def n(self):
+        return self.ambient // 4
+
+    @classmethod
+    def base(cls, ring, n: int) -> "WindowLattice":
+        """lam itself: blocks 0 and 1."""
+        return cls(ring, 4 * n, Matrix.identity(ring, 4 * n).rows()[2 * n:],
+                   coerce=False)
+
+    def _moved(self, d: int):
+        """The basis rows moved d blocks up, or -d blocks down when d < 0;
+        what passes block 1 or block -2 drops out."""
+        k = abs(d) * self.n
+        pad = [self.ring.zero] * k
+        return [pad + list(r[:len(r) - k]) if d >= 0 else list(r[k:]) + pad
+                for r in self.basis]
+
+    def shifted(self, d: int) -> "WindowLattice":
+        """u^d * L; ConstructionFailed unless L contains the top d blocks
+        (d > 0) or vanishes on the bottom -d blocks (d < 0)."""
+        size = self.ambient
+        k = abs(d) * self.n
+        if d >= 0 and sum(p >= size - k for p in self.pivots) == k:
+            rows = self._moved(d)
+        elif d < 0 and k <= size and all(p >= k for p in self.pivots):
+            # the preimage under u^-d: rows moved down, plus the kernel of u^-d
+            rows = self._moved(d) + Matrix.identity(self.ring, size).rows()[size - k:]
+        else:
+            raise ConstructionFailed(f"u^{d} times the lattice leaves the window")
+        return WindowLattice(self.ring, size, rows, coerce=False)
+
+    def shifted_dual(self) -> "WindowLattice":
+        """u^-1 * dual(L): the orthogonal for B, which pairs coordinate
+        c = (k+2)*n + i only with 4n-1-c, with sign (-1)^k s_i."""
+        n, ring = self.n, self.ring
+        gram = Matrix.zero(ring, 4 * n, 4 * n).rows()
+        for c in range(4 * n):
+            sign = (-1) ** (c // n) * (-1 if c % n < n // 2 else 1)
+            gram[c][4 * n - 1 - c] = ring.from_int(sign)
+        perp = self.perp(Matrix(ring, gram, coerce=False))
+        return WindowLattice(ring, 4 * n, perp.basis, coerce=False)
+
+    def type_vector(self):
+        """Sorted exponents of L relative to lam, as lattice_type gives
+        them: block k holds one pivot per exponent e <= k."""
+        c = [0] + [sum(p // self.n == b for p in self.pivots)
+                   for b in range(4)] + [self.n]
+        return [e for b, e in enumerate((-2, -1, 0, 1, 2))
+                for _ in range(c[b + 1] - c[b])]
+
+    def lattice(self) -> LaurentLattice:
+        """The same lattice over k(u), canonicalized: spanned by the lifts
+        sum c_(k,j) u^k lam_j of the basis rows and by u^2*lam."""
+        n = self.n
+        field = FunctionField(self.ring, "u")
+        shift = [-1 if j < n // 2 else 0 for j in range(n)]
+        cols = [[field.laurent({k - 2 + shift[j]: r[k * n + j]
+                                for k in range(4) if r[k * n + j]})
+                 for j in range(n)] for r in self.basis]
+        cols += Matrix.diagonal(field, [field.monomial(2 + t) for t in shift]).cols()
+        return LaurentLattice(field, cols)
+
+
+# ---------------------------------------------------------------------------
 # coweights and cells
 # ---------------------------------------------------------------------------
 
@@ -319,14 +420,24 @@ def schubert_cell(L: LaurentLattice, variant: str) -> int:
     """
     _check_variant(variant, L.n)
     d = lattice_dual(L)
-    target = L.scaled(L.ring.monomial(1)) if variant == "pimodular" else L
+    target = L.shifted(1) if variant == "pimodular" else L
     if d != target:
         raise NotInGrassmannian("lattice does not satisfy the duality relation")
-    t = lattice_type(L, base_lattice(L.ring, L.n, variant))
-    plus = sum(1 for e in t if e == 1)
-    minus = sum(1 for e in t if e == -1)
-    zero = sum(1 for e in t if e == 0)
-    if plus != minus or plus + minus + zero != L.n:
+    return _coweight_index(lattice_type(L, base_lattice(L.ring, L.n, variant)))
+
+
+def _window_cell(L: WindowLattice) -> int:
+    """schubert_cell of a window lattice in the even-rank variant, where
+    dual(L) = u*L reads u^-1*dual(L) = L."""
+    if L.shifted_dual() != L:
+        raise NotInGrassmannian("lattice does not satisfy the duality relation")
+    return _coweight_index(L.type_vector())
+
+
+def _coweight_index(t) -> int:
+    """The index i of a type vector (1 repeated i, 0s, -1 repeated i)."""
+    plus, minus = t.count(1), t.count(-1)
+    if plus != minus or plus + minus + t.count(0) != len(t):
         raise UnrecognizedType(f"type {tuple(t)} is not a coweight type")
     return plus
 
@@ -374,13 +485,21 @@ class DemazureReport:
         return f"DemazureReport(i={self.index}, [{marks}])"
 
 
-def _free_quotient(outer: LaurentLattice, inner: LaurentLattice, rank: int):
+def _free_quotient(outer, inner, rank: int):
     """(bool, text): inner inside outer with quotient free of the given
     rank and killed by the variable, i.e. exponent profile all 0s and 1s
-    with exactly ``rank`` ones."""
-    prof = quotient_profile(outer, inner)
+    with exactly ``rank`` ones.  A window lattice's profile is worked out
+    over k(u) only for the text of a failure."""
     want = [0] * (outer.n - rank) + [1] * rank
-    okay = prof == want
+    if isinstance(outer, WindowLattice):
+        # inner <= outer, u*outer <= inner, dimensions rank apart
+        okay = (outer.dim - inner.dim == rank and outer.contains(inner)
+                and not any(any(inner.reduce(r)) for r in outer._moved(1)))
+        prof = want if okay else quotient_profile(outer.lattice(),
+                                                  inner.lattice())
+    else:
+        prof = quotient_profile(outer, inner)
+        okay = prof == want
     return okay, f"profile {tuple(prof)} vs expected {tuple(want)}"
 
 
@@ -399,25 +518,22 @@ def demazure_membership(L: LaurentLattice, Lp: LaurentLattice, i: int,
         raise AmbientMismatch("lattice pair must share field and rank")
     if not 0 <= i <= L.n // 2:
         raise BadParameters("index out of range for the pair test")
-    return _pair_test(L, Lp, i, variant, schubert_cell(L, variant))
+    return _pair_test(L, Lp, base_lattice(L.ring, L.n, variant), i, variant,
+                      schubert_cell(L, variant))
 
 
-def _pair_test(L: LaurentLattice, Lp: LaurentLattice, i: int, variant: str,
-               cell: int) -> DemazureReport:
-    """demazure_membership on checked arguments, given the cell index of L."""
-    n = L.n
-    field = L.ring
-    uinv = field.monomial(-1)
-    lam = base_lattice(field, n, variant)
-
+def _pair_test(L, Lp, lam, i: int, variant: str, cell: int) -> DemazureReport:
+    """demazure_membership on checked arguments, given the base lattice and
+    the cell index of L; L, Lp and lam are all LaurentLattices or all
+    WindowLattices."""
     c1 = _in_closure(cell, i, variant)
     d1 = f"cell closure at index {i}"
 
-    shifted_dual = lattice_dual(Lp).scaled(uinv)
-    shifted = Lp.scaled(uinv)
-    rank2 = 2 * i if variant == "pimodular" else n - 2 * i
+    shifted_dual = Lp.shifted_dual()
+    shifted = Lp.shifted(-1)
+    rank2 = 2 * i if variant == "pimodular" else L.n - 2 * i
     inner_ok, d2 = _free_quotient(shifted_dual, Lp, rank2)
-    dual_inside = lattice_contains(shifted, shifted_dual)
+    dual_inside = shifted.contains(shifted_dual)
     c2 = inner_ok and dual_inside
     if not dual_inside:
         d2 += "; shifted dual escapes the shifted lattice"
@@ -436,19 +552,18 @@ def _pair_test(L: LaurentLattice, Lp: LaurentLattice, i: int, variant: str,
 # transfer from special-fiber points
 # ---------------------------------------------------------------------------
 
-def lattice_from_point(component, frame) -> LaurentLattice:
-    """Preimage lattice of a special-fiber component.
+def window_from_point(component, frame) -> WindowLattice:
+    """Preimage lattice of a special-fiber component: the window lattice
+    spanned by the coordinate lifts of a basis and u^2*lam.
 
     ``component`` is a Subspace, a rows Matrix, or an iterable of rows of
     length 2n in frame coordinates; it must be stable under the frame's
-    square-zero operator.  The result is generated by the coordinate lifts
-    of a basis together with the square-scaled base lattice, and always
-    sits between that scaled copy and the base lattice itself.
+    square-zero operator, which makes the lifted span u-stable.
     """
     ring = frame.ring
     if not isinstance(ring, PrimeField) or not frame.pi.is_zero():
         raise InvalidPoint("the transfer is defined on the special fiber")
-    n, m = frame.n, frame.m
+    n = frame.n
     if isinstance(component, Subspace):
         rows = [list(r) for r in component.basis]
         if component.ambient != 2 * n:
@@ -460,47 +575,42 @@ def lattice_from_point(component, frame) -> LaurentLattice:
     for r in rows:
         if len(r) != 2 * n:
             raise InvalidPoint("component rows must have length 2n")
-    span = Subspace(ring, 2 * n, [[ring.coerce(x) for x in r] for r in rows])
+    span = Subspace(ring, 2 * n, rows)
     for w in span.basis:
         if not span.contains_vector(frame.t_apply(list(w))):
             raise InvalidPoint("component is not stable under the operator")
+    pad = [ring.zero] * (2 * n)
+    return WindowLattice(ring, 4 * n, [pad + list(w) for w in span.basis],
+                         coerce=False)
 
-    field = FunctionField(ring, "u")
-    uinv = field.monomial(-1)
-    u = field.monomial(1)
-    cols = []
-    for w in span.basis:
-        col = []
-        for j in range(n):
-            a = field.coerce(w[j]) if not w[j].is_zero() else field.zero
-            b = field.coerce(w[n + j]) if not w[n + j].is_zero() else field.zero
-            if j < m:
-                col.append(a * uinv + b)
-            else:
-                col.append(a + b * u)
-        cols.append(col)
-    lam = standard_lattice(field, n, m)
-    usq = field.monomial(2)
-    cols.extend((lam.matrix * usq).cols())
-    L = LaurentLattice(field, Matrix.from_cols(field, cols))
-    if not (lattice_contains(lam, L) and lattice_contains(L, lam.scaled(usq))):
-        raise ConstructionFailed("transferred lattice leaves its window")
-    return L
+
+def lattice_from_point(component, frame) -> LaurentLattice:
+    """window_from_point over k(u): a lattice between the square-scaled
+    base lattice and the base lattice itself."""
+    return window_from_point(component, frame).lattice()
 
 
 class PhiImage:
     """Lattice pair attached to a point of the closed smooth component,
-    with its verification data."""
+    with its verification data.  The pair is held as window lattices;
+    ``first`` and ``second`` are their k(u) forms."""
 
-    __slots__ = ("first", "second", "cell", "label", "demazure", "square_ok")
+    __slots__ = ("windows", "cell", "label", "demazure", "square_ok")
 
     def __init__(self, first, second, cell, label, demazure, square_ok):
-        self.first = first
-        self.second = second
+        self.windows = (first, second)
         self.cell = cell
         self.label = label
         self.demazure = demazure
         self.square_ok = square_ok
+
+    @property
+    def first(self) -> LaurentLattice:
+        return self.windows[0].lattice()
+
+    @property
+    def second(self) -> LaurentLattice:
+        return self.windows[1].lattice()
 
     @property
     def ok(self):
@@ -541,20 +651,21 @@ def phi_map(point: ModelPoint, variant: str = "pimodular") -> PhiImage:
 
 
 def _shifted_cell(point: ModelPoint, variant: str):
-    """(first, cell): the F-lattice of a validated point scaled by u^-1, and
-    its cell index, the lattice data tau_fiber_check and phi_map share."""
-    LF = lattice_from_point(point.F_rows, point.frame)
-    first = LF.scaled(LF.ring.monomial(-1))
-    return first, schubert_cell(first, variant)
+    """(first, cell): the window F-lattice of a validated point scaled by
+    u^-1, and its cell index, the data tau_fiber_check and phi_map share."""
+    _check_variant(variant, point.frame.n)
+    first = window_from_point(point.F_rows, point.frame).shifted(-1)
+    return first, _window_cell(first)
 
 
-def _phi_image(point: ModelPoint, label, first: LaurentLattice,
+def _phi_image(point: ModelPoint, label, first: WindowLattice,
                cell: int) -> PhiImage:
     """phi_map of a point with l = s whose label, shifted F-lattice and cell
-    are already known."""
-    LG = lattice_from_point(point.G_rows, point.frame)
-    second = lattice_dual(LG).scaled(first.ring.monomial(1))
-    dem = _pair_test(first, second, point.s, "pimodular", cell)
+    are already known; the second lattice u*dual(LG) is u^2*u^-1*dual(LG)."""
+    LG = window_from_point(point.G_rows, point.frame)
+    second = LG.shifted_dual().shifted(2)
+    lam = WindowLattice.base(point.ring, first.n)
+    dem = _pair_test(first, second, lam, point.s, "pimodular", cell)
     return PhiImage(first, second, cell, label, dem, cell == label.h)
 
 

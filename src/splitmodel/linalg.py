@@ -783,8 +783,7 @@ def smith_form_local(M: Matrix):
     for k in range(n):
         a = A[k][k].valuation()
         exps.append(a)
-        unit = A[k][k] / ring.monomial(a)
-        inv = unit.inverse()
+        inv = A[k][k].inverse().shift(a)
         A[k] = [inv * x for x in A[k]]
         U[k] = [inv * x for x in U[k]]
     # ascending exponent order via simultaneous row/col swaps

@@ -111,10 +111,12 @@ class ModelPoint:
             raise InvalidPoint("G is not contained in F")
 
     def F_subspace(self) -> Subspace:
-        return Subspace(self.ring, 2 * self.frame.n, self.F_rows.rows())
+        return Subspace(self.ring, 2 * self.frame.n, self.F_rows.rows(),
+                        coerce=False)
 
     def G_subspace(self) -> Subspace:
-        return Subspace(self.ring, 2 * self.frame.n, self.G_rows.rows())
+        return Subspace(self.ring, 2 * self.frame.n, self.G_rows.rows(),
+                        coerce=False)
 
     def validate(self) -> ValidationReport:
         """The report computed on construction."""

@@ -620,6 +620,16 @@ class RationalFunction:
             return INF
         return poly_valuation(self.num) - poly_valuation(self.den)
 
+    def shift(self, e: int):
+        """self * v^e, moving the power of v without a product or gcd."""
+        if not self.num:
+            return self
+        vn, vd = poly_valuation(self.num), poly_valuation(self.den)
+        e += vn - vd
+        pad = (self.ring.base.zero,) * abs(e)
+        return RationalFunction(self.ring, pad * (e > 0) + self.num[vn:],
+                                pad * (e < 0) + self.den[vd:], reduce=False)
+
     def sigma(self):
         """Substitute v -> -v (the order-two twist of k(v) over k(v^2))."""
         flip = lambda p: tuple(c if i % 2 == 0 else -c for i, c in enumerate(p))

@@ -152,6 +152,20 @@ def test_valuation_and_sigma():
     assert sigma_twist(K.coerce(2)) == K.coerce(2)
 
 
+@pytest.mark.parametrize("q", [3, 9])
+def test_shift_is_multiplication_by_a_power(q):
+    K = FunctionField(PrimeField(q), "u")
+    rng = random.Random(q)
+    for _ in range(40):
+        f = K.random_poly(rng, 3) * K.monomial(rng.randrange(-2, 3))
+        g = K.random_poly(rng, 2)
+        if not g.is_zero():
+            f = f / g
+        # == compares the canonical numerator and denominator
+        for e in range(-3, 4):
+            assert f.shift(e) == f * K.monomial(e)
+
+
 def test_rational_evaluate():
     F = PrimeField(7)
     K = FunctionField(F, "u")
