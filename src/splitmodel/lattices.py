@@ -290,8 +290,7 @@ class WindowLattice(Subspace):
                    coerce=False)
 
     def _moved(self, d: int):
-        """The basis rows moved d blocks up, or -d blocks down when d < 0;
-        what passes block 1 or block -2 drops out."""
+        """The basis rows moved d blocks up (down for d < 0), truncated."""
         k = abs(d) * self.n
         pad = [self.ring.zero] * k
         return [pad + list(r[:len(r) - k]) if d >= 0 else list(r[k:]) + pad
@@ -312,8 +311,7 @@ class WindowLattice(Subspace):
         return WindowLattice(self.ring, size, rows, coerce=False)
 
     def shifted_dual(self) -> "WindowLattice":
-        """u^-1 * dual(L): the orthogonal for B, which pairs coordinate
-        c = (k+2)*n + i only with 4n-1-c, with sign (-1)^k s_i."""
+        """u^-1 * dual(L): B pairs coordinate c only with 4n-1-c."""
         n, ring = self.n, self.ring
         gram = Matrix.zero(ring, 4 * n, 4 * n).rows()
         for c in range(4 * n):
@@ -323,16 +321,14 @@ class WindowLattice(Subspace):
         return WindowLattice(ring, 4 * n, perp.basis, coerce=False)
 
     def type_vector(self):
-        """Sorted exponents of L relative to lam, as lattice_type gives
-        them: block k holds one pivot per exponent e <= k."""
+        """Sorted exponents of L relative to lam, as lattice_type gives them."""
         c = [0] + [sum(p // self.n == b for p in self.pivots)
                    for b in range(4)] + [self.n]
         return [e for b, e in enumerate((-2, -1, 0, 1, 2))
                 for _ in range(c[b + 1] - c[b])]
 
     def lattice(self) -> LaurentLattice:
-        """The same lattice over k(u), canonicalized: spanned by the lifts
-        sum c_(k,j) u^k lam_j of the basis rows and by u^2*lam."""
+        """The same lattice over k(u): the lifts of the rows and u^2*lam."""
         n = self.n
         field = FunctionField(self.ring, "u")
         shift = [-1 if j < n // 2 else 0 for j in range(n)]
