@@ -360,8 +360,8 @@ def nonsmooth_witness(n: int, s: int, label, order: int = 3) -> WitnessRecord:
     # read the obstruction one order deeper
     S = SeriesRing(base, "eps", order)
     frameS = build_frame(n, ring=S)
-    T = normal_form_gram(h, l, s, n, "general", ring=base).matrix
-    f, tf = _ft_basis(S, chart_transform(n, T, S), n)
+    T = normal_form_gram(h, l, s, n, "general", ring=S).matrix
+    f, tf = _ft_basis(S, chart_transform(frameS, T), n)
     eps = S.gen
     i1, i2 = l - 2, l - 1
     j1, j2 = n - h - 2, n - h - 1

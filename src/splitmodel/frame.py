@@ -1,7 +1,9 @@
 """The standard ambient frame: a rank-2n module with a square-zero operator
 t, a symmetric pairing, and the perfect alternating pairing induced on the
 image of t, together with the block normal forms of that alternating pairing
-used by the chart constructions.
+used by the chart constructions.  The forms the charts use, like the
+alternating pairing itself, pair every basis vector with one partner by +-1,
+so a chart changes basis by a signed permutation (points.chart_transform).
 
 Basis ordering is fixed once and for all:
 
@@ -16,8 +18,8 @@ this package are written in this ordering.
 
 from __future__ import annotations
 
-from .errors import BadDimension, BadParameters, NotInTLambda, Singular
-from .linalg import Matrix, Subspace, inverse, kernel_basis
+from .errors import BadDimension, BadParameters, NotInTLambda
+from .linalg import Matrix, Subspace, kernel_basis
 from .rings import PrimeField
 
 
@@ -189,9 +191,13 @@ def normal_form_gram(h: int, l: int, s: int, n: int, case: str,
 
     The general case pairs the blocks of sizes (h, l-h, s-l, r-l, l-h, h)
     antidiagonally, with standard skew forms on the middle two.  The
-    eps-stratum case is the general matrix at (h, l) = (0, s), whatever h
-    and l are passed; schubert-pimodular is the negated general matrix;
-    schubert-selfdual puts identities in place of the skew blocks."""
+    eps-stratum case is the general matrix at (h, l) = (0, s);
+    schubert-pimodular is the negated general matrix; schubert-selfdual
+    puts identities in place of the skew blocks.
+
+    Every case checks the h and l passed: 0 <= h <= l <= s <= n/2 and,
+    except for schubert-selfdual, l = s mod 2.  So eps-stratum refuses
+    (1, 2, 3, 8) and (3, 3, 2, 8), although its matrix ignores h and l."""
     if ring is None:
         ring = PrimeField(3)
     if case not in _CASES:
@@ -228,59 +234,3 @@ def normal_form_gram(h: int, l: int, s: int, n: int, case: str,
     if case == "schubert-pimodular":
         T = -T
     return NormalFormGram(h, l, s, n, case, T)
-
-
-# ---------------------------------------------------------------------------
-# change of alternating bases
-# ---------------------------------------------------------------------------
-
-def symplectic_basis(A: Matrix) -> Matrix:
-    """P with P^t A P in the standard form blockdiag([[0,1],[-1,0]], ...),
-    for a nondegenerate skew matrix A over a field."""
-    ring = A.ring
-    n = A.nrows
-    if n % 2 != 0:
-        raise BadParameters("nondegenerate skew matrices have even size")
-
-    def form(u, v):
-        Av = A.apply_to_vector(v)
-        acc = ring.zero
-        for a, b in zip(u, Av):
-            acc = acc + a * b
-        return acc
-
-    pool = [ [ring.one if i == j else ring.zero for j in range(n)]
-             for i in range(n) ]
-    cols = []
-    while pool:
-        v = pool.pop(0)
-        w = None
-        for idx, cand in enumerate(pool):
-            val = form(v, cand)
-            if not val.is_zero():
-                w = pool.pop(idx)
-                w = [val.inverse() * c for c in w]
-                break
-        if w is None:
-            raise Singular("skew form is degenerate")
-        new_pool = []
-        for zv in pool:
-            a = form(v, zv)
-            b = form(w, zv)
-            # z' = z - a*w + b*v is orthogonal to both v and w
-            zp = [zc - a * wc + b * vc for zc, wc, vc in zip(zv, w, v)]
-            new_pool.append(zp)
-        pool = new_pool
-        cols.append(v)
-        cols.append(w)
-    return Matrix.from_cols(ring, cols)
-
-
-def congruence_transform(A: Matrix, B: Matrix) -> Matrix:
-    """C with C^t A C = B, for nondegenerate skew A, B of equal size over a
-    field."""
-    if A.nrows != B.nrows:
-        raise BadDimension("sizes differ")
-    PA = symplectic_basis(A)
-    PB = symplectic_basis(B)
-    return PA * inverse(PB)

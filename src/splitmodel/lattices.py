@@ -38,6 +38,7 @@ from __future__ import annotations
 from .errors import (AmbientMismatch, BadParameters, ConstructionFailed,
                      InvalidPoint, NotInGrassmannian, NotInZ, Singular,
                      UnrecognizedType)
+from .frame import _h_antidiag
 from .linalg import Matrix, Subspace, inverse, smith_form_local
 from .points import ModelPoint, invariants
 from .rings import FunctionField, PrimeField
@@ -225,9 +226,7 @@ def base_lattice(field: FunctionField, n: int, variant: str) -> LaurentLattice:
 def hermitian_gram(field: FunctionField, n: int) -> Matrix:
     """Gram matrix of the split form in the standard basis: antidiagonal
     identity, its own inverse."""
-    z, o = field.zero, field.one
-    return Matrix(field, [[o if i + j == n - 1 else z for j in range(n)]
-                          for i in range(n)], coerce=False)
+    return _h_antidiag(field, n)
 
 
 def lattice_dual(L: LaurentLattice, form: str = "hermitian-phi") -> LaurentLattice:

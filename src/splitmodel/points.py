@@ -17,12 +17,13 @@ from .errors import (
     AmbientMismatch,
     BadParameters,
     BudgetExceeded,
+    ConstructionFailed,
     InvalidPoint,
     ParityViolated,
     RelationViolated,
     RingUnsupported,
 )
-from .frame import Frame, build_frame, congruence_transform, normal_form_gram, orthogonal
+from .frame import Frame, build_frame, normal_form_gram, orthogonal
 from .linalg import (
     Matrix,
     Subspace,
@@ -244,10 +245,6 @@ def stratum_dimension(r: int, s: int, h: int, l: int) -> int:
 # chart constructions
 # ---------------------------------------------------------------------------
 
-def _base_field(ring):
-    return getattr(ring, "base", ring)
-
-
 def _coerce_rect(ring, obj, nrows, ncols, name):
     if obj is None:
         return Matrix.zero(ring, nrows, ncols)
@@ -260,20 +257,43 @@ def _coerce_rect(ring, obj, nrows, ncols, name):
     return M
 
 
-def chart_transform(n: int, case_matrix: Matrix, ring) -> Matrix:
-    """C over ring with C^t (gram_mod) C = the chart's normal-form matrix.
+def _partner_pairs(M: Matrix):
+    """The pairs (i, j) of a partner pairing M: i is the smallest index not
+    yet paired and j the first unpaired index with M[i][j] nonzero."""
+    free = list(range(M.nrows))
+    pairs = []
+    while free:
+        i = free.pop(0)
+        j = next((j for j in free if not M.data[i][j].is_zero()), None)
+        if j is None:
+            raise ConstructionFailed(f"basis vector {i} has no partner")
+        free.remove(j)
+        pairs.append((i, j))
+    return pairs
 
-    The congruence is solved over the residue field and coerced up, which
-    is valid because both matrices have entries there."""
-    base = _base_field(ring)
-    from .frame import _j_matrix  # same basis convention
-    A = -_j_matrix(base, n)
-    B = case_matrix if case_matrix.ring is base else case_matrix.map_entries(
-        base.coerce, base)
-    C = congruence_transform(A, B)
-    if ring is base:
-        return C
-    return C.map_entries(ring.coerce, ring)
+
+def chart_transform(frame: Frame, case_matrix: Matrix) -> Matrix:
+    """C over the frame's ring with C^t (gram_mod) C = the chart's
+    normal-form matrix.
+
+    Both forms are partner pairings: each basis vector pairs with exactly
+    one other, by +-1.  For gram_mod = -J this is the antidiagonal identity;
+    for a normal form it is the antidiagonal identity blocks and the
+    standard skew blocks.  So C sends the k-th pair (i_B, j_B) of the normal
+    form B to the k-th pair (i_A, j_A) of gram_mod A, with C[i_A][i_B] = 1
+    and C[j_A][j_B] = B[i_B][j_B] / A[i_A][j_A] = B[i_B][j_B], as A pairs
+    each i_A with its later partner by +1.  That is a signed permutation,
+    the matrix a Gram-Schmidt symplectic basis of A times the inverse of one
+    of B would give.  A form that is not a partner pairing is refused."""
+    ring, A = frame.ring, frame.gram_mod
+    data = [[ring.zero] * frame.n for _ in range(frame.n)]
+    for (ia, ja), (ib, jb) in zip(_partner_pairs(A), _partner_pairs(case_matrix)):
+        data[ia][ib] = ring.one
+        data[ja][jb] = case_matrix.data[ib][jb]
+    C = Matrix(ring, data, coerce=False)
+    if C.transpose() * A * C != case_matrix:
+        raise ConstructionFailed("the form is not a partner pairing")
+    return C
 
 
 def _rows_from_ft_columns(ring, C: Matrix, f_cols, t_cols, g_f_cols,
@@ -339,8 +359,8 @@ def chart_point_general(n: int, s: int, h: int, l: int, Y2=None, Z=None,
         raise RelationViolated("(Y2 - Y2^t) Z must vanish")
 
     frame = build_frame(n, ring=ring)
-    T = normal_form_gram(h, l, s, n, "general", ring=_base_field(ring)).matrix
-    C = chart_transform(n, T, ring)
+    C = chart_transform(frame, normal_form_gram(h, l, s, n, "general",
+                                                ring=ring).matrix)
     zvec = [ring.zero] * n
     # block offsets for sizes (h, l-h, s-l, r-l, l-h, h)
     off1 = h
@@ -419,8 +439,8 @@ def chart_point_local(n: int, s: int, X=None, Y=None, Z=None, A=None, B=None,
         raise RelationViolated("(Z - Z^t + X^t Y - Y^t X) B must equal 2 pi A")
 
     frame = build_frame(n, ring=ring, pi=pi)
-    T = normal_form_gram(s, s, s, n, "eps-stratum", ring=_base_field(ring)).matrix
-    C = chart_transform(n, T, ring)
+    C = chart_transform(frame, normal_form_gram(s, s, s, n, "eps-stratum",
+                                                ring=ring).matrix)
 
     def m_col(j):
         v = [ring.zero] * n

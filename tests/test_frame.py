@@ -3,17 +3,17 @@ import random
 
 import pytest
 
-from splitmodel.errors import BadDimension, BadParameters, NotInTLambda, Singular
+from splitmodel.errors import (BadDimension, BadParameters, ConstructionFailed,
+                               NotInTLambda, Singular)
 from splitmodel.frame import (
     Frame,
     build_frame,
-    congruence_transform,
     normal_form_gram,
     orthogonal,
     pair,
-    symplectic_basis,
 )
-from splitmodel.linalg import Matrix, Subspace, det, rank
+from splitmodel.linalg import Matrix, Subspace, det, inverse, rank
+from splitmodel.points import chart_transform
 from splitmodel.rings import FunctionField, PrimeField
 
 F3 = PrimeField(3)
@@ -232,6 +232,57 @@ def rand_skew_nondeg(field, rng, n):
             return M
 
 
+def symplectic_basis(A):
+    """Reference: P with P^t A P in the standard form
+    blockdiag([[0,1],[-1,0]], ...), for a nondegenerate skew matrix A over
+    a field, by symplectic Gram-Schmidt."""
+    ring = A.ring
+    n = A.nrows
+    if n % 2 != 0:
+        raise BadParameters("nondegenerate skew matrices have even size")
+
+    def form(u, v):
+        Av = A.apply_to_vector(v)
+        acc = ring.zero
+        for a, b in zip(u, Av):
+            acc = acc + a * b
+        return acc
+
+    pool = [[ring.one if i == j else ring.zero for j in range(n)]
+            for i in range(n)]
+    cols = []
+    while pool:
+        v = pool.pop(0)
+        w = None
+        for idx, cand in enumerate(pool):
+            val = form(v, cand)
+            if not val.is_zero():
+                w = pool.pop(idx)
+                w = [val.inverse() * c for c in w]
+                break
+        if w is None:
+            raise Singular("skew form is degenerate")
+        new_pool = []
+        for zv in pool:
+            a = form(v, zv)
+            b = form(w, zv)
+            # z' = z - a*w + b*v is orthogonal to both v and w
+            new_pool.append([zc - a * wc + b * vc
+                             for zc, wc, vc in zip(zv, w, v)])
+        pool = new_pool
+        cols.append(v)
+        cols.append(w)
+    return Matrix.from_cols(ring, cols)
+
+
+def congruence_transform(A, B):
+    """Reference: C with C^t A C = B, for nondegenerate skew A, B of equal
+    size over a field."""
+    if A.nrows != B.nrows:
+        raise BadDimension("sizes differ")
+    return symplectic_basis(A) * inverse(symplectic_basis(B))
+
+
 def test_symplectic_basis_random():
     rng = random.Random(23)
     std4 = Matrix.block(F5, [[Matrix.zero(F5, 2, 2), Matrix.identity(F5, 2)],
@@ -256,3 +307,53 @@ def test_congruence_transform_roundtrip():
         assert C.transpose() * A * C == B
     with pytest.raises(Singular):
         symplectic_basis(Matrix.zero(F5, 4, 4))
+
+
+def chart_normal_forms(n):
+    """(case, h, l, s) for each general and eps-stratum normal form that
+    normal_form_gram builds at size n: every 0 <= h <= l <= s <= n/2 with
+    l = s mod 2, and the eps-stratum form once per s, since it does not
+    depend on h and l.  The charts use a subset of these."""
+    for s in range(n // 2 + 1):
+        for l in range(s % 2, s + 1, 2):
+            for h in range(l + 1):
+                yield "general", h, l, s
+        yield "eps-stratum", s, s, s
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_chart_transform_matches_gram_schmidt_reference(q):
+    field = PrimeField(q)
+    for n in range(4, 13, 2):
+        frame = build_frame(n, ring=field)
+        for case, h, l, s in chart_normal_forms(n):
+            T = normal_form_gram(h, l, s, n, case, ring=field).matrix
+            C = chart_transform(frame, T)
+            assert C == congruence_transform(frame.gram_mod, T), (n, case, h, l, s)
+            assert C.transpose() * frame.gram_mod * C == T
+
+
+def test_chart_transform_carries_the_signs_of_the_form():
+    # the chart forms pair each index with a later partner by +1, so C is
+    # a permutation there; the negated (schubert-pimodular) forms need -1s
+    for n in (4, 6, 8):
+        frame = build_frame(n, ring=F5)
+        for s in range(n // 2 + 1):
+            for l in range(s % 2, s + 1, 2):
+                T = normal_form_gram(0, l, s, n, "schubert-pimodular",
+                                     ring=F5).matrix
+                C = chart_transform(frame, T)
+                assert C == congruence_transform(frame.gram_mod, T)
+                assert -F5.one in (x for row in C.data for x in row)
+
+
+def test_chart_transform_refuses_a_form_without_partners():
+    frame = build_frame(6, ring=F5)
+    B = rand_skew_nondeg(F5, random.Random(25), 6)
+    # basis vectors with more than one partner
+    assert any(sum(not x.is_zero() for x in row) > 1 for row in B.data)
+    with pytest.raises(ConstructionFailed):
+        chart_transform(frame, B)
+    # the reference solves it, so only the partner lookup refuses it
+    C = congruence_transform(frame.gram_mod, B)
+    assert C.transpose() * frame.gram_mod * C == B

@@ -3,11 +3,11 @@
 A candidate is validated once, on construction, and one validation costs
 five eliminations and four matrix products.  Over a prime field it builds
 no field element: every result is one of the field's interned elements.
-A point is labelled once, however often its label is asked for.  The
-schubert job transfers each point to the lattice side once: one label, one
-F-side window lattice and one cell per point.  Over a prime field, k(u)
-arithmetic runs no element gcd, and a zero factor costs no polynomial
-product.
+A point is labelled once, however often its label is asked for.  A chart
+draw changes basis without inverting a matrix.  The schubert job transfers
+each point to the lattice side once: one label, one F-side window lattice
+and one cell per point.  Over a prime field, k(u) arithmetic runs no
+element gcd, and a zero factor costs no polynomial product.
 """
 
 import json
@@ -115,6 +115,16 @@ def test_schubert_transfers_each_point_once(monkeypatch, capsys):
     f_side = [args for args in transfers if args[0].nrows == 6]
     assert len(labels) == len(f_side) == len(cells) == transferred
     assert len(transfers) == transferred + z_points
+
+
+def test_chart_draws_invert_no_matrix(monkeypatch, capsys):
+    # the chart change of basis is a signed permutation read off the two
+    # forms, so no draw solves a congruence
+    inverses = count_calls(monkeypatch, linalg, "inverse")
+    code = cli.main(["charts", "--n", "8", "--s", "4", "--budget", "20"])
+    capsys.readouterr()
+    assert code == 0
+    assert inverses == []
 
 
 def test_phi_map_over_f3_runs_no_element_gcd(monkeypatch):
