@@ -299,12 +299,12 @@ def flat_lift(T0=None, W0=None, pi=None):
 
     T_lift = assemble([
         (0, 3, T0),
-        (1, 2, scale(inverse(tr(W0)) if b else None, -two_pi)),
+        (1, 2, scale(tr(Wi), -two_pi)),
         (2, 1, scale(Wi, two_pi)),
         (3, 0, scale(tr(T0), ring.from_int(-1)) if a else None),
     ])
     W_lift = assemble([
-        (0, 3, scale(inverse(tr(T0)) if a else None, -two_pi)),
+        (0, 3, scale(tr(Ti), -two_pi)),
         (1, 2, W0),
         (2, 1, scale(tr(W0), ring.from_int(-1)) if b else None),
         (3, 0, scale(Ti, two_pi)),

@@ -217,17 +217,6 @@ def hstack(*mats):
     return Matrix(ring, rows, coerce=False)
 
 
-def vstack(*mats):
-    ring = mats[0].ring
-    c = mats[0].ncols
-    rows = []
-    for m in mats:
-        if m.ncols != c:
-            raise BadDimension("vstack width mismatch")
-        rows.extend(m.copy_data())
-    return Matrix(ring, rows, coerce=False)
-
-
 # ---------------------------------------------------------------------------
 # prime fields: products and elimination on the int residues
 # ---------------------------------------------------------------------------
@@ -524,19 +513,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.ring, self.ambient, self.basis + other.basis,
                         coerce=False)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ring, self.ambient, [])
-        A = self.matrix().transpose()
-        B = other.matrix().transpose()
-        # x = A a = B b; kernel of [A | -B] gives the coefficient pairs
-        K = kernel_basis(hstack(A, -B))
-        if not K:
-            return Subspace(self.ring, self.ambient, [])
-        coeffs = Matrix(self.ring, [k[: self.dim] for k in K], coerce=False)
-        return Subspace(self.ring, self.ambient,
-                        (coeffs * self.matrix()).data, coerce=False)
 
     def perp(self, gram: Matrix) -> "Subspace":
         """Vectors v with (basis row) . gram . v = 0 for every basis row."""

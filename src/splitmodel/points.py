@@ -19,6 +19,7 @@ from .errors import (
     BudgetExceeded,
     ConstructionFailed,
     InvalidPoint,
+    NotInTLambda,
     ParityViolated,
     RelationViolated,
     RingUnsupported,
@@ -208,10 +209,17 @@ def _kottwitz_check(frame: Frame, cols: Matrix, r: int, s: int):
 # stratum invariants
 # ---------------------------------------------------------------------------
 
+def _radical_dim(rows: Matrix, gram: Matrix) -> int:
+    """Dimension of the radical of the pairing ``gram`` on the span of the
+    independent ``rows``: the corank of its Gram matrix there."""
+    return rows.nrows - rank(rows * gram * rows.transpose())
+
+
 def invariants(point: ModelPoint) -> StratumLabel:
-    """(h, l) of a validated field point: h = dim tF,
-    l = dim(G meet G-perp').  Computed on the first call and kept on the
-    point, so later calls return the same label without work."""
+    """(h, l) of a validated field point: h = dim tF and
+    l = dim(G meet G-perp'), the corank of the modified pairing on G.
+    Computed on the first call and kept on the point, so later calls
+    return the same label without work."""
     if point.label is not None:
         return point.label
     frame = point.frame
@@ -221,10 +229,11 @@ def invariants(point: ModelPoint) -> StratumLabel:
     if not point.report.passes_closed_conditions():
         raise InvalidPoint("point fails the closed conditions")
     h = rank(point.F_rows * frame.t_matrix.transpose())
-    G = point.G_subspace()
-    Gperp = orthogonal(frame, G, "modified")
-    l = G.intersect(Gperp).dim
-    s = point.s
+    if not all(frame.in_t_lambda(row) for row in point.G_rows.data):
+        raise NotInTLambda("the modified pairing needs G inside im(t)")
+    n, s = frame.n, point.s
+    l = _radical_dim(point.G_rows.submatrix(range(s), range(n, 2 * n)),
+                     frame.gram_mod)
     if not (0 <= h <= l <= s) or (l - s) % 2 != 0:
         raise InvalidPoint(f"invariant bookkeeping violated: h={h}, l={l}, s={s}")
     point.label = StratumLabel(h, l)
@@ -546,23 +555,19 @@ def _exhaustive_walk(n, s, q, budget):
     in the intervals [L, U], summed over G, and candidates yields the
     points (F, G) with F totally isotropic, each validated in full,
     isotropy included; the walker builds no other F.  Raises
-    BudgetExceeded when count exceeds budget."""
+    BudgetExceeded, before any F is built, when count exceeds budget.
+    With l the corank of the modified pairing on G, dim U/L = s + l and
+    dim F/L = l, so G's interval holds [s + l choose l]_q candidates."""
     frame = build_frame(n, ring=PrimeField(q))
-    per_g = list(_intervals(frame, s))
-    total = sum(gaussian_binomial(U.dim - L.dim, n - L.dim, q)
-                for _, L, U in per_g)
+    coranks = (_radical_dim(G.matrix(), frame.gram_mod)
+               for G in subspaces_iter(frame.ring, n, s))
+    total = sum(gaussian_binomial(s + l, l, q) for l in coranks)
     if total > budget:
         raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
     return total, (ModelPoint(frame, F.matrix(), G.matrix())
-                   for G, L, U in per_g
+                   for G, L, U in _intervals(frame, s)
                    for F in intermediate_subspaces_iter(L, U, n,
                                                         frame.gram_sym))
-
-
-def _exhaustive_candidates(n, s, q, budget):
-    """The candidates of _exhaustive_walk; raises BudgetExceeded at the
-    first step when their count exceeds budget."""
-    yield from _exhaustive_walk(n, s, q, budget)[1]
 
 
 def random_skew(field, rng, size):
@@ -703,7 +708,7 @@ def iter_validated_points(n: int, s: int, q: int, budget: int = 10 ** 8):
     walk, in the same candidate order the exhaustive census uses."""
     if n % 2 != 0 or n < 4 or not (1 <= s <= n // 2):
         raise BadParameters("need even n >= 4 and 1 <= s <= n/2")
-    for point in _exhaustive_candidates(n, s, q, budget):
+    for point in _exhaustive_walk(n, s, q, budget)[1]:
         if point.report.verdict:
             yield point, invariants(point)
 

@@ -299,7 +299,6 @@ class PrimeField:
         self.char = p
         self.modulus = _find_modulus(p, k) if k > 1 else None
         self.is_field = True
-        self.is_local = True
         if k == 1:
             # the p elements, indexed by residue; every prime-field result is
             # one of them, so arithmetic allocates nothing
@@ -704,7 +703,6 @@ class FunctionField:
         self.var = var
         self.char = base.char
         self.is_field = True
-        self.is_local = True
         self.zero = RationalFunction(self, (), (base.one,), reduce=False)
         self.one = RationalFunction(self, (base.one,), (base.one,), reduce=False)
         self.gen = RationalFunction(self, (base.zero, base.one), (base.one,), reduce=False)
@@ -890,7 +888,6 @@ class SeriesRing:
         self.N = N
         self.char = base.char
         self.is_field = False
-        self.is_local = True
         self.zero = TruncatedSeries(self, (base.zero,) * N)
         self.one = TruncatedSeries(self, (base.one,) + (base.zero,) * (N - 1))
         self.gen = TruncatedSeries(
@@ -1152,7 +1149,6 @@ class PolynomialRing:
         self.nvars = len(self.names)
         self.char = base.char
         self.is_field = False
-        self.is_local = False
         self.zero = MultiPoly(self, {}, clean=False)
         self.one = MultiPoly(self, {(0,) * self.nvars: base.one}, clean=False)
         self.gens = tuple(

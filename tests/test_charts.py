@@ -278,6 +278,26 @@ def test_size_two_special_fiber_is_principal_and_squarefree():
     assert leftover.text() == "1*pi"
 
 
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("s", [2, 3, 4])
+@pytest.mark.parametrize("zero_pi", [False, True])
+def test_groebner_matches_sympy(s, q, zero_pi):
+    sympy = pytest.importorskip("sympy")
+    pres = reduced_presentation(s, s + 2, base=PrimeField(q),
+                                set_pi_zero=zero_pi)
+    names = sympy.symbols(pres.ring.names)
+    theirs = sympy.groebner(
+        [sympy.Poly.from_dict({e: c.val for e, c in g.terms.items()}, *names)
+         for g in pres.generators],
+        *names, modulus=q, order="grevlex")
+    ours = groebner(pres.generators, variable_limit=pres.ring.nvars)
+    # both bases are reduced and monic, so they are equal as sets of terms
+    assert ours.order == "degrevlex"
+    assert ({frozenset((e, c.val) for e, c in g.terms.items()) for g in ours}
+            == {frozenset((e, c % q) for e, c in p.terms())
+                for p in theirs.polys})
+
+
 def test_squarefreeness_detector():
     R = PolynomialRing(F3, ("t", "w"), "degrevlex")
     t, w = R.gens

@@ -6,17 +6,20 @@ from collections import Counter
 
 import pytest
 
+from test_linalg import intersect
+
 from splitmodel import points
 from splitmodel.degenerations import ClosurePoset
 from splitmodel.errors import (
     BadParameters,
     BudgetExceeded,
     InvalidPoint,
+    NotInTLambda,
     ParityViolated,
     RelationViolated,
 )
 from splitmodel.frame import build_frame, orthogonal
-from splitmodel.linalg import Matrix, rank
+from splitmodel.linalg import Matrix, Subspace, rank
 from splitmodel.points import (
     ModelPoint,
     StratumLabel,
@@ -320,9 +323,9 @@ def test_census_exhaustive_4_2_5():
     examined = result.params["examined"]
     assert examined == 126386
     # the budget precheck passes at exactly the number of candidates walked
-    next(points._exhaustive_candidates(4, 2, 5, examined))
+    next(points._exhaustive_walk(4, 2, 5, examined)[1])
     with pytest.raises(BudgetExceeded):
-        next(points._exhaustive_candidates(4, 2, 5, examined - 1))
+        points._exhaustive_walk(4, 2, 5, examined - 1)
     walked = Counter(label for _, label in iter_validated_points(4, 2, 5))
     assert walked == result.strata
     assert result.labels() == set(ClosurePoset(2).labels)
@@ -388,6 +391,57 @@ def test_sampled_points_satisfy_stratum_laws():
             Gperp = orthogonal(frame, point.G_subspace(), "modified")
             assert point.F_subspace().contains(Gperp)
             assert Gperp.dim == n - s
+
+
+def modified_radical_dim(frame, G):
+    """l = dim(G meet G-perp'), by intersecting the two subspaces."""
+    return intersect(G, orthogonal(frame, G, "modified")).dim
+
+
+def test_radical_dim_is_the_intersection_on_random_g_over_f9():
+    # rows drawn from the first half of the image of t pair to zero, so
+    # mixing them with general rows reaches every l of the right parity
+    field = PrimeField(9)
+    rng = random.Random(91)
+    seen = set()
+    for n in (4, 6, 8):
+        frame = build_frame(n, ring=field)
+        zrow = [field.zero] * n
+        for _ in range(40):
+            s = rng.randint(1, n // 2)
+            isotropic = rng.randint(0, s)
+            tails = [[field.random(rng) if j < n // 2 or i >= isotropic
+                      else field.zero for j in range(n)] for i in range(s)]
+            G = Subspace(field, 2 * n, [zrow + row for row in tails],
+                         coerce=False)
+            if G.dim < s:
+                continue
+            l = points._radical_dim(Matrix(field, tails, coerce=False),
+                                    frame.gram_mod)
+            assert l == modified_radical_dim(frame, G)
+            seen.add((s, l))
+    assert {(3, 1), (3, 3), (4, 0), (4, 2), (4, 4)} <= seen
+
+
+def test_labels_of_census_4_2_3_match_the_intersection():
+    labelled = Counter()
+    for point, label in iter_validated_points(4, 2, 3):
+        assert label.l == modified_radical_dim(point.frame,
+                                               point.G_subspace())
+        labelled[label.l] += 1
+    assert labelled == {0: 90, 2: 40 + 120}
+
+
+def test_invariants_need_g_inside_the_image_of_t():
+    # off the special fiber G lies in ker(t - pi), not in the image of t,
+    # where the modified pairing is defined
+    kpi = FunctionField(F3, "pi")
+    pi = kpi.monomial(1)
+    Z, B = flat_example_data(kpi, pi)
+    point = chart_point_local(4, 2, Z=Z, B=B, ring=kpi, pi=pi)
+    assert point.report.passes_closed_conditions()
+    with pytest.raises(NotInTLambda):
+        invariants(point)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,11 @@ from collections import Counter
 
 import pytest
 
+from test_linalg import intersect
+
 from splitmodel import points
+from splitmodel.degenerations import ClosurePoset
+from splitmodel.errors import BudgetExceeded
 from splitmodel.frame import build_frame, orthogonal
 from splitmodel.linalg import (Matrix, Subspace, intermediate_subspaces_iter,
                                subspaces_iter)
@@ -125,18 +129,53 @@ def test_walker_count_per_g_is_the_closed_form(n, s, q):
             continue
         k = n - L.dim
         # L is the radical of the form on U, and U/L is split of dimension 2k
-        assert U.intersect(U.perp(gram)) == L and U.dim - L.dim == 2 * k
+        assert intersect(U, U.perp(gram)) == L and U.dim - L.dim == 2 * k
         assert count == split_space_count(k, q)
+
+
+def radical_dims(n, s, q):
+    """How many G of the exhaustive walk have each l = dim(G meet G-perp'),
+    from the intersection, after checking that the Gram corank of
+    points._radical_dim gives the same l for each G."""
+    frame = build_frame(n, ring=PrimeField(q))
+    by_l = Counter()
+    for G, _, _ in points._intervals(frame, s):
+        l = intersect(G, orthogonal(frame, G, "modified")).dim
+        tails = G.matrix().submatrix(range(s), range(n, 2 * n))
+        assert points._radical_dim(tails, frame.gram_mod) == l
+        by_l[l] += 1
+    return by_l
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_census_4_2_q_strata_from_the_g(q):
-    frame = build_frame(4, ring=PrimeField(q))
-    by_l = Counter(G.intersect(orthogonal(frame, G, "modified")).dim
-                   for G, _, _ in points._intervals(frame, 2))
+    by_l = radical_dims(4, 2, q)
     assert set(by_l) == {0, 2}
     result = census(4, 2, q)
     assert result.strata == {StratumLabel(0, 0): by_l[0],
                              StratumLabel(0, 2): by_l[2],
                              StratumLabel(2, 2): q * by_l[2]}
     assert result.rejected["spin"] == (q + 1) * by_l[2]
+
+
+def test_census_6_3_3_precheck_counts_every_candidate():
+    # the interval of a G holds [3 + l choose l]_3 candidates: 40 at l = 1
+    # and 33,880 at l = 3, so 32,760 * 40 + 1,120 * 33,880 in all
+    with pytest.raises(BudgetExceeded, match="39256000 candidates"):
+        points._exhaustive_walk(6, 3, 3, 39_255_999)
+
+
+@slow
+def test_census_exhaustive_6_3_3():
+    # per G: at l = 1 one F is labelled (1, 1) and one fails spin; at l = 3
+    # the 80 isotropic F split as q^3 (3, 3), q^2 + q + 1 (1, 3) and 40 spin
+    q = 3
+    by_l = radical_dims(6, 3, q)
+    assert by_l == {1: 32760, 3: 1120}
+    result = census(6, 3, q, budget=39_256_000)
+    assert result.params["examined"] == 39_256_000
+    assert result.strata == {StratumLabel(1, 1): by_l[1],
+                             StratumLabel(1, 3): (q * q + q + 1) * by_l[3],
+                             StratumLabel(3, 3): q ** 3 * by_l[3]}
+    assert result.rejected["spin"] == by_l[1] + 40 * by_l[3] == 77560
+    assert result.labels() == set(ClosurePoset(3).labels)

@@ -3,10 +3,12 @@
 A candidate is validated once, on construction, and one validation costs
 five eliminations and four matrix products.  Over a prime field it builds
 no field element: every result is one of the field's interned elements.
-A point is labelled once, however often its label is asked for.  A chart
-draw changes basis without inverting a matrix.  The schubert job transfers
-each point to the lattice side once: one label, one F-side window lattice
-and one cell per point.  Over a prime field, k(u) arithmetic runs no
+A point is labelled once, however often its label is asked for, with one
+Gram rank, and the census takes one modified complement per G.  A chart
+draw changes basis without inverting a matrix, and a flat lift inverts
+each seed block once.  The schubert job transfers each point to the
+lattice side once: one label, one F-side window lattice and one cell per
+point.  Over a prime field, k(u) arithmetic runs no
 element gcd, and a zero factor costs no polynomial product.
 """
 
@@ -17,7 +19,7 @@ import sys
 from splitmodel import cli, lattices, linalg, points, rings
 from splitmodel.frame import build_frame
 from splitmodel.lattices import phi_map, tau_fiber_check
-from splitmodel.linalg import Matrix, Subspace
+from splitmodel.linalg import Matrix
 from splitmodel.points import (ModelPoint, census, invariants,
                                iter_validated_points,
                                sample_general_chart_point)
@@ -62,7 +64,7 @@ def test_one_candidate_runs_five_eliminations_and_four_products(monkeypatch):
 
 
 def test_validating_a_census_candidate_builds_no_field_element(monkeypatch):
-    walk = points._exhaustive_candidates(4, 2, 3, 10 ** 8)
+    walk = points._exhaustive_walk(4, 2, 3, 10 ** 8)[1]
     candidates = [next(walk) for _ in range(40)]
     assert {c.report.verdict for c in candidates} == {True, False}
     frame = candidates[0].frame
@@ -74,7 +76,7 @@ def test_validating_a_census_candidate_builds_no_field_element(monkeypatch):
 
 
 def test_census_coerces_few_field_elements(monkeypatch):
-    # subspaces built from field elements (the walker's F, sum, intersect,
+    # subspaces built from field elements (the walker's F, sum,
     # perp, orthogonal, matrix(), a point's G_subspace) are not coerced into
     # the field again; before that, census 4/2/3 made 402,962 coerce calls,
     # and 7,042 while G_subspace still coerced; 3,042 now
@@ -85,7 +87,7 @@ def test_census_coerces_few_field_elements(monkeypatch):
 
 def test_each_iterated_point_is_labelled_once(monkeypatch):
     labels = count_calls(monkeypatch, points, "invariants")
-    intersections = count_calls(monkeypatch, Subspace, "intersect")
+    radicals = count_calls(monkeypatch, points, "_radical_dim")
     seen = []
 
     def walk():
@@ -97,8 +99,17 @@ def test_each_iterated_point_is_labelled_once(monkeypatch):
     assert report.ok and report.counts == {1: 40}
     # one label per point from the walk, one more asked for by the check
     assert len(labels) == 2 * len(seen) == 80
-    assert len(intersections) == len(seen)
+    # one Gram rank per label, and one per G, [4 choose 1]_3 = 40 of
+    # them, for the count before the walk
+    assert len(radicals) - 40 == len(seen)
     assert all(p.label is invariants(p) for p in seen)
+
+
+def test_census_takes_one_modified_complement_per_g(monkeypatch):
+    # [4 choose 2]_3 = 130 G; the 250 labelled points take none
+    complements = count_calls(monkeypatch, points, "orthogonal")
+    census(4, 2, 3)
+    assert len(complements) == 130
 
 
 def test_schubert_transfers_each_point_once(monkeypatch, capsys):
@@ -125,6 +136,16 @@ def test_chart_draws_invert_no_matrix(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert inverses == []
+
+
+def test_flat_lift_inverts_each_seed_block_once(monkeypatch, capsys):
+    # the transposed inverse is the transpose of the inverse; inverting the
+    # transposed blocks again made 140 inversions here
+    inverses = count_calls(monkeypatch, linalg, "inverse")
+    code = cli.main(["flatlift", "--budget", "10"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(inverses) == 70
 
 
 def test_phi_map_over_f3_runs_no_element_gcd(monkeypatch):
