@@ -19,7 +19,8 @@ this package are written in this ordering.
 from __future__ import annotations
 
 from .errors import BadDimension, BadParameters, NotInTLambda
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import (Matrix, Subspace, _is_prime_field, _residues,
+                     kernel_basis)
 from .rings import PrimeField
 
 
@@ -42,10 +43,12 @@ class Frame:
     uniformizer takes in the coefficient ring: zero in the special fiber,
     the distinguished variable over a function field in it.  ``t_plus`` and
     ``t_minus`` are t + pi and t - pi, the operators of the splitting
-    conditions."""
+    conditions.  Over a prime field ``residues`` maps each of the names
+    t_matrix, t_plus, t_minus, gram_sym and gram_mod to the int residue
+    rows of that matrix; over any other ring it is None."""
 
     __slots__ = ("ring", "n", "m", "pi", "t_matrix", "t_plus", "t_minus",
-                 "gram_sym", "gram_mod")
+                 "gram_sym", "gram_mod", "residues")
 
     def __init__(self, ring, n, pi):
         self.ring = ring
@@ -62,6 +65,9 @@ class Frame:
         J = _j_matrix(ring, n)
         self.gram_sym = Matrix.block(ring, [[Z, J], [-J, Z]])
         self.gram_mod = -J
+        names = ("t_matrix", "t_plus", "t_minus", "gram_sym", "gram_mod")
+        self.residues = ({k: _residues(getattr(self, k).data) for k in names}
+                         if _is_prime_field(ring) else None)
 
     def t_apply(self, v):
         return self.t_matrix.apply_to_vector([self.ring.coerce(x) for x in v])

@@ -489,7 +489,8 @@ def _free_quotient(outer, inner, rank: int):
     if isinstance(outer, WindowLattice):
         # inner <= outer, u*outer <= inner, dimensions rank apart
         okay = (outer.dim - inner.dim == rank and outer.contains(inner)
-                and not any(any(inner.reduce(r)) for r in outer._moved(1)))
+                and inner.contains(Subspace(inner.ring, inner.ambient,
+                                            outer._moved(1), coerce=False)))
         prof = want if okay else quotient_profile(outer.lattice(),
                                                   inner.lattice())
     else:

@@ -7,6 +7,9 @@ elimination only ever pivots on units; ranks are read off the residue
 field.  A Smith-type normal form with powers of the distinguished variable
 as elementary divisors is provided for matrices over a rational function
 field, localized at that variable.
+Over a prime field F_p, products, elimination, rank, containment and the
+isotropic walker run on int residues (_product_mod_p, _eliminate_mod_p),
+boxed into field elements only where a Matrix or Subspace is handed out.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 from operator import mul
 
 from .errors import (
+    AmbientMismatch,
     BadDimension,
     NotAField,
     RingUnsupported,
@@ -147,8 +151,9 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise BadDimension("shape mismatch in product")
             if other.ring is self.ring and _is_prime_field(self.ring):
-                return Matrix(self.ring, _product_mod_p(self, other),
-                              coerce=False)
+                rows = _product_mod_p(_residues(self.data),
+                                      _residues(other.data), self.ring.p)
+                return Matrix(self.ring, _boxed(self.ring, rows), coerce=False)
             # each row of the product accumulates the rows of B scaled by
             # the nonzero entries of the row of A, as _product_mod_p does
             z = self.ring.zero
@@ -228,22 +233,36 @@ def _is_prime_field(ring):
     return isinstance(ring, PrimeField) and ring.deg == 1
 
 
-def _product_mod_p(A: Matrix, B: Matrix):
-    """The rows of A * B over F_p: each row of the product accumulates the
-    rows of B scaled by the nonzero entries of the row of A, and is reduced
-    mod p once."""
-    p, table = A.ring.p, A.ring.table
-    b_rows = [[x.val for x in row] for row in B.data]
-    zeros = [0] * B.ncols
+def _residues(rows):
+    """The int residues of rows of prime-field elements."""
+    return [[x.val for x in row] for row in rows]
+
+
+def _boxed(field, rows):
+    """Rows of int residues as rows of the field's interned elements."""
+    table = field.table
+    return [[table[x] for x in row] for row in rows]
+
+
+def _product_mod_p(A, B, p):
+    """The int rows of A * B over F_p, for A and B given by the int residue
+    rows: each row of the product accumulates the rows of B scaled by the
+    nonzero entries of the row of A, and is reduced mod p once."""
+    zeros = [0] * len(B[0]) if B else []
     out = []
-    for row in A.data:
+    for row in A:
         acc = zeros
-        for a, b_row in zip(row, b_rows):
-            a = a.val
+        for a, b_row in zip(row, B):
             if a:
                 acc = [x + a * y for x, y in zip(acc, b_row)]
-        out.append([table[x % p] for x in acc])
+        out.append([x % p for x in acc])
     return out
+
+
+def _pairings_mod_p(rows, gram, p):
+    """rows * gram * rows^t over F_p, on int residue rows: the pairings of
+    the rows under the form with Gram matrix gram."""
+    return _product_mod_p(_product_mod_p(rows, gram, p), list(zip(*rows)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +275,13 @@ def _eliminate(M: Matrix):
     pivot, and each pivot entry before it was scaled to 1, negated when a
     row swap brought it in.  For a square matrix of full rank the product of
     leads is the determinant.  Over a prime field this runs on the residues
-    (_eliminate_mod_p); every other ring takes the element loop, which
-    is the reference the residue kernel is tested against."""
-    if _is_prime_field(M.ring):
-        return _eliminate_mod_p(M)
+    (_eliminate_mod_p) and boxes its output; every other ring takes the
+    element loop, which is the reference the residue kernel is tested
+    against."""
+    ring = M.ring
+    if _is_prime_field(ring):
+        rows, pivots, leads = _eliminate_mod_p(_residues(M.data), ring.p)
+        return _boxed(ring, rows), pivots, [ring.table[x] for x in leads]
     return _eliminate_elements(M)
 
 
@@ -299,18 +321,16 @@ def _eliminate_elements(M: Matrix):
     return data, pivots, leads
 
 
-def _eliminate_mod_p(M: Matrix):
-    """_eliminate over a prime field F_p, on the int residues of the
-    entries; the pivot inverse is x^(p-2) mod p.  Results are boxed as the
-    field's interned elements only at the end."""
-    field = M.ring
-    p, table = field.p, field.table
-    data = [[x.val for x in row] for row in M.data]
-    nrows = M.nrows
+def _eliminate_mod_p(rows, p):
+    """_eliminate over a prime field F_p on int residue rows, entries in
+    range(p): returns the reduced int rows, the pivots and the int leads.
+    The pivot inverse is x^(p-2) mod p.  The input rows are not changed."""
+    data = list(rows)
+    nrows = len(data)
     pivots = []
     leads = []
     r = 0
-    for c in range(M.ncols):
+    for c in range(len(data[0]) if data else 0):
         if r == nrows:
             break
         for pr in range(r, nrows):
@@ -324,16 +344,17 @@ def _eliminate_mod_p(M: Matrix):
             leads.append(p - lead)
         else:
             leads.append(lead)
-        inv = pow(lead, p - 2, p)
-        row = data[r] = [x * inv % p for x in data[r]]
+        row = data[r]
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            row = data[r] = [x * inv % p for x in row]
         for i in range(nrows):
             f = data[i][c]
             if f and i != r:
                 data[i] = [(a - f * b) % p for a, b in zip(data[i], row)]
         pivots.append((r, c))
         r += 1
-    return ([[table[x] for x in row] for row in data], pivots,
-            [table[x] for x in leads])
+    return data, pivots, leads
 
 
 def rref(M: Matrix):
@@ -345,6 +366,9 @@ def rref(M: Matrix):
 
 
 def rank(M: Matrix) -> int:
+    """Rank over a field; over F_p the pivot count of the residue kernel."""
+    if _is_prime_field(M.ring):
+        return len(_eliminate_mod_p(_residues(M.data), M.ring.p)[1])
     return len(rref(M)[1])
 
 
@@ -486,6 +510,15 @@ class Subspace:
             self.basis = ()
             self.pivots = ()
 
+    @classmethod
+    def _echelon(cls, ring, ambient, rows, pivots):
+        """The subspace whose canonical basis, rows of ring elements, and
+        pivot columns are given; nothing is reduced again."""
+        sub = cls.__new__(cls)
+        sub.ring, sub.ambient = ring, ambient
+        sub.basis, sub.pivots = tuple(map(tuple, rows)), tuple(pivots)
+        return sub
+
     @property
     def dim(self):
         return len(self.basis)
@@ -505,10 +538,17 @@ class Subspace:
         return v
 
     def contains_vector(self, v) -> bool:
-        return not any(self.reduce(self.ring.coerce(x) for x in v))
+        return self.contains(Subspace(self.ring, self.ambient, [v]))
 
     def contains(self, other: "Subspace") -> bool:
-        return not any(any(self.reduce(row)) for row in other.basis)
+        """Whether other lies in the subspace: whether stacking its basis
+        below this one keeps the rank."""
+        if other.ring is not self.ring:
+            raise AmbientMismatch("subspaces over different rings")
+        if other.ambient != self.ambient:
+            raise BadDimension("subspaces of different ambient dimensions")
+        stacked = Matrix(self.ring, [*self.basis, *other.basis], coerce=False)
+        return rank(stacked) == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(self.ring, self.ambient, self.basis + other.basis,
@@ -550,12 +590,7 @@ def subspaces_iter(field, ambient: int, dim: int):
                 rows[r][p] = field.one
             for (r, c), v in zip(free, values):
                 rows[r][c] = v
-            sub = Subspace.__new__(Subspace)
-            sub.ring = field
-            sub.ambient = ambient
-            sub.basis = tuple(tuple(r) for r in rows)
-            sub.pivots = tuple(pivots)
-            yield sub
+            yield Subspace._echelon(field, ambient, rows, pivots)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -576,42 +611,41 @@ def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int,
     walk over the rows of the RREF patterns of S/lower admits a row only
     when it pairs to zero with itself, with lower on either side and with
     the rows chosen before it, so no other S is built.  Yields nothing when
-    lower is not totally isotropic.  Over F_p the rows are checked on ints."""
-    field = lower.ring
+    lower is not totally isotropic.  Over F_p the walk, each S and its RREF
+    run on int residues, and S is boxed once into the Subspace yielded."""
+    field, ambient = lower.ring, lower.ambient
     if not upper.contains(lower):
         raise BadDimension("lower subspace not inside upper subspace")
     d, e = dim - lower.dim, lower.dim
     if d < 0 or dim > upper.dim:
         return
-    # complement vectors of lower inside upper
-    comp = []
-    current = lower
-    for row in upper.basis:
-        if any(current.reduce(row)):
-            comp.append(list(row))
-            current = Subspace(field, lower.ambient, current.basis + (row,),
-                               coerce=False)
+    # complement vectors of lower inside upper: the rows of upper outside the
+    # span of the rows before them, the pivot columns of the stacked columns
+    stacked = lower.basis + upper.basis
+    comp = tuple(stacked[c] for c in
+                 rref(Matrix(field, list(zip(*stacked)), coerce=False))[1][e:])
     k = len(comp)
-    if k != upper.dim - e:
-        raise BadDimension("complement of lower inside upper has the wrong size")
+    if _is_prime_field(field):
+        p = field.p
+        unbox, box = _residues, lambda rows: _boxed(field, rows)
+        product = lambda A, B: _product_mod_p(A, B, p)
+        eliminate = lambda rows: _eliminate_mod_p(rows, p)
+        dot = lambda u, v: sum(map(mul, u, v)) % p
+        values, zero, one = range(p), 0, 1
+    else:
+        unbox = box = list
+        matrix = lambda rows: Matrix(field, rows, coerce=False)
+        product = lambda A, B: (matrix(A) * matrix(B)).data if A else []
+        eliminate = lambda rows: _eliminate_elements(matrix(rows))
+        dot = lambda u, v: sum(map(mul, u, v), field.zero)
+        values, zero, one = list(field.elements()), field.zero, field.one
     # P pairs the rows of lower and the complement vectors; a row c of
     # S/lower stands for c . C and pairs with a row c' as c M c'^t, and with
     # lower as c . w for the rows w of `pairings`
-    W = Matrix(field, [list(r) for r in lower.basis] + comp, coerce=False)
-    P = (W * gram * W.transpose()).data if W.nrows else []
-    if _is_prime_field(field):
-        p, table = field.p, field.table
-        P = [[x.val for x in row] for row in P]
-        dot = lambda u, v: sum(map(mul, u, v)) % p
-        box = lambda row: [table[x] for x in row]
-        values, zero, one = range(p), 0, 1
-    else:
-        dot = lambda u, v: sum(map(mul, u, v), field.zero)
-        box = list
-        values, zero, one = list(field.elements()), field.zero, field.one
+    W = unbox(lower.basis + comp)
+    P = product(product(W, unbox(gram.data)), list(zip(*W)))
     if any(any(row[:e]) for row in P[:e]):
         return
-    C = Matrix(field, comp, coerce=False)
     M = [row[e:] for row in P[e:]]
     Mt = [list(col) for col in zip(*M)]
     pairings = [w for w in [row[e:] for row in P[:e]] + list(zip(*P[e:]))[:e]
@@ -634,14 +668,14 @@ def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int,
                 continue
             # later rows c must satisfy c M row^t = 0 = row M c^t
             new = [Mrow] if M == Mt else [Mrow, [dot(m, row) for m in Mt]]
-            yield from walk(pivots, r + 1, chosen + [box(row)],
+            yield from walk(pivots, r + 1, chosen + [list(row)],
                             constraints + new)
 
     for pivots in itertools.combinations(range(k), d):
         for chosen in walk(pivots, 0, [], pairings):
-            rows = (Matrix(field, chosen, coerce=False) * C).data if d else []
-            yield Subspace(field, lower.ambient, lower.basis + tuple(rows),
-                           coerce=False)
+            rows, rref_pivots, _ = eliminate(W[:e] + product(chosen, W[e:]))
+            yield Subspace._echelon(field, ambient, box(rows),
+                                    [c for _, c in rref_pivots])
 
 
 # ---------------------------------------------------------------------------

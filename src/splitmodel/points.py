@@ -5,7 +5,9 @@ dimension formula, and exhaustive or sampled stratum censuses.
 A point is a pair of subspaces (F, G) of the frame's 2n-space: F of rank n
 and isotropic for the symmetric pairing, G of rank s squeezed between the
 images of (t+pi) and the kernel of (t-pi).  Its stratum is labeled by
-h = dim t*F and l = dim(G meet G-perp') for the modified pairing.
+h = dim t*F and l = dim(G meet G-perp') for the modified pairing.  Over a
+prime field a point is validated and labelled on the int residues of its
+rows, unboxed once per call; no field element is built for either.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .frame import Frame, build_frame, normal_form_gram, orthogonal
 from .linalg import (
     Matrix,
     Subspace,
+    _eliminate_mod_p,
+    _pairings_mod_p,
+    _product_mod_p,
+    _residues,
     charpoly,
     columns_contain,
     gaussian_binomial,
@@ -158,6 +164,9 @@ def validate(frame: Frame, F, G, kottwitz=False) -> ValidationReport:
     n = frame.n
     F_rows = _as_rows_matrix(ring, 2 * n, F)
     G_rows = _as_rows_matrix(ring, 2 * n, G)
+    if frame.residues is not None and not kottwitz:
+        return _validate_mod_p(frame, _residues(F_rows.data),
+                               _residues(G_rows.data))
     F_cols = F_rows.transpose()
     G_cols = G_rows.transpose()
     s = G_rows.nrows
@@ -179,6 +188,23 @@ def validate(frame: Frame, F, G, kottwitz=False) -> ValidationReport:
     kott = _kottwitz_check(frame, F_cols, n - s, s) if kottwitz else None
     return ValidationReport(ranks_ok, containment, isotropy, splitting_a,
                             splitting_b, spin, kott)
+
+
+def _validate_mod_p(frame: Frame, F, G) -> ValidationReport:
+    """validate over F_p without the Kottwitz condition, on the int residue
+    rows F and G: the same conditions, where the columns are the transposed
+    rows and a containment holds when stacking adds no pivot."""
+    p, res, n, s = frame.ring.p, frame.residues, frame.n, len(G)
+    rank = lambda rows: len(_eliminate_mod_p(rows, p)[1])
+    ranks_ok = len(F) == n and rank(F) == n and rank(G) == s
+    image_a = _product_mod_p(res["t_plus"], list(zip(*F)), p)
+    image_b = _product_mod_p(res["t_minus"], list(zip(*G)), p)
+    return ValidationReport(
+        ranks=ranks_ok, containment=ranks_ok and rank(F + G) == n,
+        isotropy=not any(map(any, _pairings_mod_p(F, res["gram_sym"], p))),
+        splitting_a=ranks_ok and rank(G + list(zip(*image_a))) == s,
+        splitting_b=not any(map(any, image_b)),
+        spin=(rank(image_a) - s) % 2 == 0, kottwitz=None)
 
 
 def _kottwitz_check(frame: Frame, cols: Matrix, r: int, s: int):
@@ -209,10 +235,15 @@ def _kottwitz_check(frame: Frame, cols: Matrix, r: int, s: int):
 # stratum invariants
 # ---------------------------------------------------------------------------
 
-def _radical_dim(rows: Matrix, gram: Matrix) -> int:
-    """Dimension of the radical of the pairing ``gram`` on the span of the
-    independent ``rows``: the corank of its Gram matrix there."""
-    return rows.nrows - rank(rows * gram * rows.transpose())
+def _radical_dim(frame: Frame, tails: Matrix) -> int:
+    """Dimension of the radical of the modified pairing on the span of the
+    independent ``tails`` (image-of-t parts of rows): the corank of its Gram
+    matrix there, computed on the residues over a prime field."""
+    if frame.residues is None:
+        return tails.nrows - rank(tails * frame.gram_mod * tails.transpose())
+    p, rows = frame.ring.p, _residues(tails.data)
+    gram = _pairings_mod_p(rows, frame.residues["gram_mod"], p)
+    return len(rows) - len(_eliminate_mod_p(gram, p)[1])
 
 
 def invariants(point: ModelPoint) -> StratumLabel:
@@ -228,12 +259,16 @@ def invariants(point: ModelPoint) -> StratumLabel:
         raise RingUnsupported("invariants are defined for field points")
     if not point.report.passes_closed_conditions():
         raise InvalidPoint("point fails the closed conditions")
-    h = rank(point.F_rows * frame.t_matrix.transpose())
+    if frame.residues is None:
+        h = rank(point.F_rows * frame.t_matrix.transpose())
+    else:
+        p, F_cols = frame.ring.p, list(zip(*_residues(point.F_rows.data)))
+        image = _product_mod_p(frame.residues["t_matrix"], F_cols, p)
+        h = len(_eliminate_mod_p(image, p)[1])
     if not all(frame.in_t_lambda(row) for row in point.G_rows.data):
         raise NotInTLambda("the modified pairing needs G inside im(t)")
     n, s = frame.n, point.s
-    l = _radical_dim(point.G_rows.submatrix(range(s), range(n, 2 * n)),
-                     frame.gram_mod)
+    l = _radical_dim(frame, point.G_rows.submatrix(range(s), range(n, 2 * n)))
     if not (0 <= h <= l <= s) or (l - s) % 2 != 0:
         raise InvalidPoint(f"invariant bookkeeping violated: h={h}, l={l}, s={s}")
     point.label = StratumLabel(h, l)
@@ -559,7 +594,7 @@ def _exhaustive_walk(n, s, q, budget):
     With l the corank of the modified pairing on G, dim U/L = s + l and
     dim F/L = l, so G's interval holds [s + l choose l]_q candidates."""
     frame = build_frame(n, ring=PrimeField(q))
-    coranks = (_radical_dim(G.matrix(), frame.gram_mod)
+    coranks = (_radical_dim(frame, G.matrix())
                for G in subspaces_iter(frame.ring, n, s))
     total = sum(gaussian_binomial(s + l, l, q) for l in coranks)
     if total > budget:

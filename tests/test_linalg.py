@@ -4,7 +4,8 @@ import random
 import pytest
 
 from splitmodel import linalg
-from splitmodel.errors import NotAField, RingUnsupported, Singular
+from splitmodel.errors import (AmbientMismatch, BadDimension, NotAField,
+                               RingUnsupported, Singular)
 from splitmodel.linalg import (
     Matrix,
     Subspace,
@@ -35,6 +36,7 @@ from splitmodel.rings import (
 
 F5 = PrimeField(5)
 F3 = PrimeField(3)
+PRIME_FIELDS = [PrimeField(q) for q in (3, 5, 7)]
 
 
 def rand_matrix(field, rng, nrows, ncols):
@@ -266,6 +268,37 @@ def test_subspace_equality_is_canonical():
     assert hash(a) == hash(b)
 
 
+def test_containment_refuses_other_lengths_and_rings(monkeypatch):
+    # a longer subspace or vector was once cut to length 3 and found inside,
+    # and a subspace over F_5 raised a bare TypeError
+    def refuse(*args):
+        raise AssertionError("residues read")
+
+    S = Subspace(F3, 3, [[1, 0, 0], [0, 1, 0]])
+    longer = Subspace(F3, 4, [[1, 0, 0, 1]])
+    over_f5 = Subspace(F5, 3, [[1, 0, 0]])
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", refuse)
+    with pytest.raises(BadDimension):
+        S.contains(longer)
+    with pytest.raises(BadDimension):
+        S.contains_vector([1, 0, 0, 2])
+    with pytest.raises(AmbientMismatch):
+        S.contains(over_f5)
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=repr)
+def test_residue_containment_matches_reduce(field):
+    rng = random.Random(f"contains:{field.q}")
+    for _ in range(40):
+        A, B = (Subspace(field, 5, [[field.random(rng) for _ in range(5)]
+                                    for _ in range(rng.randrange(4))])
+                for _ in range(2))
+        assert A.contains(B) == (not any(any(A.reduce(r)) for r in B.basis))
+        for v in B.basis:
+            assert A.contains_vector(v) == (not any(A.reduce(v)))
+        assert A.sum(B).contains(A) and A.contains(Subspace(field, 5, []))
+
+
 def test_subspace_perp():
     rng = random.Random(16)
     gram = Matrix(F5, [[0, 1, 0, 0], [4, 0, 0, 0], [0, 0, 0, 1], [0, 0, 4, 0]])
@@ -366,8 +399,6 @@ def test_smith_form_local_singular():
 # ---------------------------------------------------------------------------
 # the prime-field int kernels against the element loops
 # ---------------------------------------------------------------------------
-
-PRIME_FIELDS = [PrimeField(q) for q in (3, 5, 7)]
 
 
 def _oracle_cases(field, rng):

@@ -1,6 +1,5 @@
 """Point validation, stratum invariants, chart constructions, censuses."""
 
-import os
 import random
 from collections import Counter
 
@@ -331,8 +330,7 @@ def test_census_exhaustive_4_2_5():
     assert result.labels() == set(ClosurePoset(2).labels)
 
 
-@pytest.mark.skipif(os.environ.get("SPLITMODEL_SLOW") != "1",
-                    reason="walks 480,571 candidates; set SPLITMODEL_SLOW=1")
+@pytest.mark.slow(reason="walks 480,571 candidates")
 def test_census_exhaustive_6_2_3():
     # the budget precheck passes at exactly the number of candidates counted
     result = census(6, 2, 3, strategy="exhaustive", budget=480571)
@@ -416,8 +414,7 @@ def test_radical_dim_is_the_intersection_on_random_g_over_f9():
                          coerce=False)
             if G.dim < s:
                 continue
-            l = points._radical_dim(Matrix(field, tails, coerce=False),
-                                    frame.gram_mod)
+            l = points._radical_dim(frame, Matrix(field, tails, coerce=False))
             assert l == modified_radical_dim(frame, G)
             seen.add((s, l))
     assert {(3, 1), (3, 3), (4, 0), (4, 2), (4, 4)} <= seen

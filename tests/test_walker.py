@@ -10,7 +10,6 @@ prediction from the G alone.
 
 import itertools
 import math
-import os
 import random
 from collections import Counter
 
@@ -24,11 +23,9 @@ from splitmodel.errors import BudgetExceeded
 from splitmodel.frame import build_frame, orthogonal
 from splitmodel.linalg import (Matrix, Subspace, intermediate_subspaces_iter,
                                subspaces_iter)
-from splitmodel.points import StratumLabel, census
+from splitmodel.points import ModelPoint, StratumLabel, census
 from splitmodel.rings import PrimeField
 
-slow = pytest.mark.skipif(os.environ.get("SPLITMODEL_SLOW") != "1",
-                          reason="long walk; set SPLITMODEL_SLOW=1")
 
 
 def reference_walk(lower, upper, dim):
@@ -68,7 +65,8 @@ def intervals(n, s, q, limit=None):
     (4, 1, 3, None, 80),
     (4, 2, 3, None, 410),
     (4, 1, 9, 40, None),
-    pytest.param(4, 2, 5, None, 2522, marks=slow),
+    pytest.param(4, 2, 5, None, 2522, marks=pytest.mark.slow(
+        reason="walks all 126,386 F of census 4/2/5 unpruned")),
 ])
 def test_walker_is_the_reference_walk_filtered(n, s, q, limit, total):
     walked = 0
@@ -112,6 +110,30 @@ def test_walker_on_random_intervals(q, trials):
     assert walked > 0
 
 
+@pytest.mark.parametrize("n, s, q, walked", [(4, 2, 3, 5290), (4, 1, 5, 936)])
+def test_residue_validation_is_the_element_branch(n, s, q, walked):
+    # every F of the unpruned walk, isotropic or not, is validated on
+    # residues and, on the same frame with its residues hidden, by the
+    # element loops; the labels of the points that pass are compared too
+    frame = build_frame(n, ring=PrimeField(q))
+    elements = build_frame(n, ring=PrimeField(q))
+    elements.residues = None
+    outcomes = Counter()
+    for G, L, U in points._intervals(frame, s):
+        G_rows = G.matrix()
+        for F in reference_walk(L, U, n):
+            F_rows = F.matrix()
+            report = points.validate(frame, F_rows, G_rows)
+            assert report == points.validate(elements, F_rows, G_rows)
+            outcomes[report.first_failure()] += 1
+            if report.verdict:
+                assert (points.invariants(ModelPoint(frame, F_rows, G_rows))
+                        == points.invariants(ModelPoint(elements, F_rows,
+                                                        G_rows)))
+    assert sum(outcomes.values()) == walked
+    assert outcomes["isotropy"] > 0 and outcomes[None] > 0
+
+
 def split_space_count(k, q):
     """Maximal totally singular subspaces of a split quadratic space of
     dimension 2k over F_q."""
@@ -142,7 +164,7 @@ def radical_dims(n, s, q):
     for G, _, _ in points._intervals(frame, s):
         l = intersect(G, orthogonal(frame, G, "modified")).dim
         tails = G.matrix().submatrix(range(s), range(n, 2 * n))
-        assert points._radical_dim(tails, frame.gram_mod) == l
+        assert points._radical_dim(frame, tails) == l
         by_l[l] += 1
     return by_l
 
@@ -165,7 +187,7 @@ def test_census_6_3_3_precheck_counts_every_candidate():
         points._exhaustive_walk(6, 3, 3, 39_255_999)
 
 
-@slow
+@pytest.mark.slow(reason="walks 39,256,000 candidates")
 def test_census_exhaustive_6_3_3():
     # per G: at l = 1 one F is labelled (1, 1) and one fails spin; at l = 3
     # the 80 isotropic F split as q^3 (3, 3), q^2 + q + 1 (1, 3) and 40 spin

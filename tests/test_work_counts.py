@@ -1,15 +1,18 @@
 """Work done per point: each per-point fact is computed once.
 
-A candidate is validated once, on construction, and one validation costs
-five eliminations and four matrix products.  Over a prime field it builds
-no field element: every result is one of the field's interned elements.
-A point is labelled once, however often its label is asked for, with one
-Gram rank, and the census takes one modified complement per G.  A chart
+A candidate is validated once, on construction.  Over a prime field one
+validation unboxes F and G once and then runs five residue eliminations
+and four residue products (linalg._eliminate_mod_p, _product_mod_p); it
+builds no Matrix and no field element.  Over any other field the same
+five eliminations and four products run as element loops.  The walker
+boxes each F once, into the Subspace it yields.  A point is labelled once,
+however often its label is asked for, with one rank for h and one Gram
+rank for l, and the census takes one modified complement per G.  A chart
 draw changes basis without inverting a matrix, and a flat lift inverts
 each seed block once.  The schubert job transfers each point to the
 lattice side once: one label, one F-side window lattice and one cell per
-point.  Over a prime field, k(u) arithmetic runs no
-element gcd, and a zero factor costs no polynomial product.
+point.  Over a prime field, k(u) arithmetic runs no element gcd, and a
+zero factor costs no polynomial product.
 """
 
 import json
@@ -45,15 +48,22 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_one_candidate_runs_five_eliminations_and_four_products(monkeypatch):
-    accepted, _ = next(iter_validated_points(4, 1, 3))
-    frame = build_frame(4)
+def two_candidates(q, accepted):
+    """An accepted candidate and one that fails isotropy, over F_q."""
+    frame = build_frame(4, ring=PrimeField(q))
     # b_1 pairs with b_8, so this F fails isotropy; ranks and containment hold
     rejected = (Matrix(frame.ring, [frame.basis_vector(i) for i in (1, 6, 7, 8)]),
                 Matrix(frame.ring, [frame.basis_vector(6)]))
-    candidates = [(accepted.F_rows, accepted.G_rows), rejected]
-    eliminations = count_calls(monkeypatch, linalg, "_eliminate")
-    products = count_calls(monkeypatch, Matrix, "__mul__")
+    return frame, [(accepted.F_rows, accepted.G_rows), rejected]
+
+
+def test_one_candidate_runs_five_eliminations_and_four_products(monkeypatch):
+    accepted, _ = next(iter_validated_points(4, 1, 3))
+    frame, candidates = two_candidates(3, accepted)
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate_mod_p")
+    products = count_calls(monkeypatch, linalg, "_product_mod_p")
+    matrices = count_calls(monkeypatch, Matrix, "__init__")
+    created = count_calls(monkeypatch, FFElement, "__init__")
     verdicts = []
     for F_rows, G_rows in candidates:
         del eliminations[:], products[:]
@@ -61,6 +71,24 @@ def test_one_candidate_runs_five_eliminations_and_four_products(monkeypatch):
         verdicts.append(point.validate().verdict)
         assert (len(eliminations), len(products)) == (5, 4)
     assert verdicts == [True, False]
+    assert matrices == created == []
+
+
+def test_an_f9_candidate_runs_five_element_eliminations_and_products(monkeypatch):
+    # F_9 keeps the element loops, which the residue kernels are tested
+    # against, so their count is pinned as well
+    accepted, _ = next(iter_validated_points(4, 1, 9))
+    frame, candidates = two_candidates(9, accepted)
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate")
+    products = count_calls(monkeypatch, Matrix, "__mul__")
+    residue = count_calls(monkeypatch, linalg, "_eliminate_mod_p")
+    verdicts = []
+    for F_rows, G_rows in candidates:
+        del eliminations[:], products[:]
+        point = ModelPoint(frame, F_rows, G_rows)
+        verdicts.append(point.validate().verdict)
+        assert (len(eliminations), len(products)) == (5, 4)
+    assert verdicts == [True, False] and residue == []
 
 
 def test_validating_a_census_candidate_builds_no_field_element(monkeypatch):
@@ -69,10 +97,11 @@ def test_validating_a_census_candidate_builds_no_field_element(monkeypatch):
     assert {c.report.verdict for c in candidates} == {True, False}
     frame = candidates[0].frame
     created = count_calls(monkeypatch, FFElement, "__init__")
+    matrices = count_calls(monkeypatch, Matrix, "__init__")
     for candidate in candidates:
         point = ModelPoint(frame, candidate.F_rows, candidate.G_rows)
         assert point.report == candidate.report
-    assert created == []
+    assert created == matrices == []
 
 
 def test_census_coerces_few_field_elements(monkeypatch):
@@ -103,6 +132,14 @@ def test_each_iterated_point_is_labelled_once(monkeypatch):
     # them, for the count before the walk
     assert len(radicals) - 40 == len(seen)
     assert all(p.label is invariants(p) for p in seen)
+    # labelling a point afresh is one residue rank of t F for h (one
+    # product) and one of the Gram matrix of G's tails for l (two products)
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate_mod_p")
+    products = count_calls(monkeypatch, linalg, "_product_mod_p")
+    for point in seen:
+        label, point.label = point.label, None
+        assert invariants(point) == label
+    assert (len(eliminations), len(products)) == (2 * 40, 3 * 40)
 
 
 def test_census_takes_one_modified_complement_per_g(monkeypatch):
