@@ -10,11 +10,9 @@ from .degenerations import (ClosurePoset, admissible_generization_pairs,
 from .errors import SplitModelError
 from .frame import Frame, build_frame, orthogonal, pair
 from .lattices import (CoweightLabel, LaurentLattice, admissible_set,
-                       base_lattice, demazure_membership, hermitian_gram,
-                       in_schubert_variety, lattice_contains, lattice_dual,
-                       lattice_from_point, lattice_type, phi_map,
-                       quotient_profile, schubert_cell, schubert_dimension,
-                       standard_lattice, tau_fiber_check)
+                       base_lattice, lattice_from_point, lattice_type,
+                       phi_map, schubert_dimension, standard_lattice,
+                       tau_fiber_check)
 from .linalg import Matrix, Subspace, smith_form_local
 from .points import (ModelPoint, StratumLabel, census, chart_point_eps,
                      chart_point_general, chart_point_local, invariants,
@@ -32,14 +30,12 @@ __all__ = [
     "SeriesRing", "SplitModelError", "StratumLabel", "Subspace",
     "admissible_generization_pairs", "admissible_set", "base_lattice",
     "build_frame", "census", "chart_point_eps", "chart_point_general",
-    "chart_point_local", "closure_poset", "demazure_membership", "flat_lift",
-    "generization_lift", "groebner", "hermitian_gram", "in_schubert_variety",
-    "invariants", "is_squarefree", "isotropy_relations",
-    "iter_validated_points", "lattice_contains", "lattice_dual",
-    "lattice_from_point", "lattice_type", "macaulay_member",
-    "nonsmooth_witness", "orthogonal", "pair", "phi_map", "quotient_profile",
+    "chart_point_local", "closure_poset", "flat_lift", "generization_lift",
+    "groebner", "invariants", "is_squarefree", "isotropy_relations",
+    "iter_validated_points", "lattice_from_point", "lattice_type",
+    "macaulay_member", "nonsmooth_witness", "orthogonal", "pair", "phi_map",
     "reduce_poly", "reduced_presentation", "sample_eps_chart_point",
-    "sample_general_chart_point", "schubert_cell", "schubert_dimension",
-    "smith_form_local", "standard_lattice", "stratum_dimension",
-    "substitution_check", "tangent_report", "tau_fiber_check", "validate",
+    "sample_general_chart_point", "schubert_dimension", "smith_form_local",
+    "standard_lattice", "stratum_dimension", "substitution_check",
+    "tangent_report", "tau_fiber_check", "validate",
 ]

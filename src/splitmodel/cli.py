@@ -118,7 +118,7 @@ def _validate(cfg: ReportConfig) -> ReportConfig:
         if cfg.n is not None and cfg.s > cfg.n // 2:
             raise ConfigError("s must be at most n/2")
     if cfg.q not in ALLOWED_Q:
-        raise ConfigError("q must be an odd prime at most 9 (3, 5, or 7)")
+        raise ConfigError("q must be an odd prime: 3, 5 or 7")
     if cfg.truncation < 3:
         raise ConfigError("truncation must be at least 3")
     if cfg.budget is not None and cfg.budget < 1:

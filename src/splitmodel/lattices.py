@@ -1,16 +1,11 @@
-"""u-adic lattices with exact Laurent-polynomial generator matrices.
+"""u-adic lattices: the point-to-lattice transfer and its pair test.
 
-The comparison side of the package.  A lattice is a full-rank module over
-the local ring at u inside F_q(u), held by a canonical generator matrix so
-that equality is plain matrix comparison.  On top of the elementary-divisor
-type sit the coweight chains, cell and variety membership, the
-four-condition two-lattice test, and the transfer that sends a validated
-special-fiber point to its lattice pair together with the fiber bookkeeping
-matching cells against (h, l) labels.
-
-Two rank parities occur.  Even rank uses the base lattice with the first
-half of the standard basis divided by u and satisfies dual(L) = u*L on its
-locus; odd rank uses the plain integral lattice and dual(L) = L.
+The comparison side of the package.  A validated special-fiber point goes
+to a pair of lattices in F_q(u)^n, and the pair is checked against the
+four-condition two-lattice test and the cell of its first lattice against
+the point's (h, l) label; the fiber bookkeeping matches cells against
+labels over a whole batch.  Coweight labels, their chains and the cell
+dimensions describe the cells.
 
 The transfer runs on window lattices.  A lattice L between u^2*lam and
 u^-2*lam, lam = standard_lattice(n, n/2) with columns lam_j, is the full
@@ -28,9 +23,12 @@ blocks of n coordinates by ascending k, and every step is row reduction:
   other exponents are 2;
 - outer/inner is free of rank r and killed by u exactly when inner <= outer,
   u*outer <= inner, and the dimensions differ by r.
-k(u) lattices are built on that path only for output (the pair phi_map
-returns, failure certificates), and the k(u) operations are the reference
-the window operations are tested against.  No arithmetic is truncated.
+A LaurentLattice is the canonical k(u) form of a lattice (a column Hermite
+form, so equality is matrix comparison).  It is built only for output: the
+pair phi_map returns and failure certificates, whose profile text is the
+elementary-divisor type of lattice_type.  The k(u) duals, shifts,
+containment, cells and pair test, in both rank parities, are the tests'
+oracle (tests/ku_lattices.py).  No arithmetic is truncated.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from __future__ import annotations
 from .errors import (AmbientMismatch, BadParameters, ConstructionFailed,
                      InvalidPoint, NotInGrassmannian, NotInZ, Singular,
                      UnrecognizedType)
-from .frame import _h_antidiag
 from .linalg import Matrix, Subspace, inverse, smith_form_local
 from .points import ModelPoint, invariants
 from .rings import FunctionField, PrimeField
@@ -162,23 +159,6 @@ class LaurentLattice:
         self.n = n
         self.matrix = _hermite_columns(field, cols, n)
 
-    def scaled(self, c) -> "LaurentLattice":
-        c = self.ring.coerce(c)
-        if c.is_zero():
-            raise BadParameters("cannot scale a lattice by zero")
-        return LaurentLattice(self.ring, self.matrix * c)
-
-    def shifted(self, d: int) -> "LaurentLattice":
-        """u^d * L."""
-        return self.scaled(self.ring.monomial(d))
-
-    def shifted_dual(self) -> "LaurentLattice":
-        """u^-1 * dual(L) under the hermitian-phi form."""
-        return lattice_dual(self).shifted(-1)
-
-    def contains(self, other: "LaurentLattice") -> bool:
-        return lattice_contains(self, other)
-
     def contains_vector(self, vec) -> bool:
         v = [self.ring.coerce(x) for x in vec]
         if len(v) != self.n:
@@ -223,30 +203,6 @@ def base_lattice(field: FunctionField, n: int, variant: str) -> LaurentLattice:
     return standard_lattice(field, n, n // 2 if variant == "pimodular" else 0)
 
 
-def hermitian_gram(field: FunctionField, n: int) -> Matrix:
-    """Gram matrix of the split form in the standard basis: antidiagonal
-    identity, its own inverse."""
-    return _h_antidiag(field, n)
-
-
-def lattice_dual(L: LaurentLattice, form: str = "hermitian-phi") -> LaurentLattice:
-    """Dual lattice.
-
-    "hermitian-phi" uses the split sesquilinear form (variable sign-twist
-    on the left argument, antidiagonal Gram); "symmetric-trace" uses its
-    half-trace, which shifts the hermitian dual down by one power of the
-    variable.  Both are involutions and obey dual(c*L) = twist(c)^-1 dual(L).
-    """
-    if form not in ("hermitian-phi", "symmetric-trace"):
-        raise BadParameters(f"unknown dual form {form!r}")
-    field = L.ring
-    twisted = inverse(L.matrix).transpose().map_entries(lambda x: x.sigma())
-    g = hermitian_gram(field, L.n) * twisted
-    if form == "symmetric-trace":
-        g = g * field.monomial(-1)
-    return LaurentLattice(field, g)
-
-
 def lattice_type(L: LaurentLattice, base: LaurentLattice):
     """Sorted elementary-divisor exponents of L relative to base."""
     if L.ring is not base.ring or L.n != base.n:
@@ -254,17 +210,6 @@ def lattice_type(L: LaurentLattice, base: LaurentLattice):
     rel = inverse(base.matrix) * L.matrix
     _, _, _, exps = smith_form_local(rel)
     return list(exps)
-
-
-def quotient_profile(outer: LaurentLattice, inner: LaurentLattice):
-    """Exponent profile of inner relative to outer, ascending.  All entries
-    nonnegative exactly when inner is contained in outer; the sum is then
-    the length of the quotient."""
-    return lattice_type(inner, outer)
-
-
-def lattice_contains(outer: LaurentLattice, inner: LaurentLattice) -> bool:
-    return all(e >= 0 for e in quotient_profile(outer, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +305,6 @@ class CoweightLabel:
         i = self.index
         return (1,) * i + (0,) * (self.n - 2 * i) + (-1,) * i
 
-    def representative(self, field: FunctionField) -> Matrix:
-        """Diagonal matrix translating the base lattice into this cell."""
-        i, m = self.index, self.n // 2
-        u = field.monomial(1)
-        uinv_neg = field.monomial(-1, -1)
-        entries = [u] * i + [field.one] * (m - i)
-        if self.n % 2 == 1:
-            entries.append(field.coerce(-1) if i % 2 == 1 else field.one)
-        entries += [field.one] * (m - i) + [uinv_neg] * i
-        return Matrix.diagonal(field, entries)
-
-    def translated_base(self, field: FunctionField) -> LaurentLattice:
-        base = base_lattice(field, self.n, self.variant)
-        return LaurentLattice(field, self.representative(field) * base.matrix)
-
     def __eq__(self, other):
         return (isinstance(other, CoweightLabel) and other.index == self.index
                 and other.variant == self.variant and other.n == self.n)
@@ -407,23 +337,11 @@ def schubert_dimension(i: int, n: int) -> int:
     return i * (n - i)
 
 
-def schubert_cell(L: LaurentLattice, variant: str) -> int:
-    """The unique cell index of a lattice on the variant's duality locus.
-
-    Raises NotInGrassmannian when the duality fails and UnrecognizedType
-    when the relative type is not a coweight type vector.
-    """
-    _check_variant(variant, L.n)
-    d = lattice_dual(L)
-    target = L.shifted(1) if variant == "pimodular" else L
-    if d != target:
-        raise NotInGrassmannian("lattice does not satisfy the duality relation")
-    return _coweight_index(lattice_type(L, base_lattice(L.ring, L.n, variant)))
-
-
 def _window_cell(L: WindowLattice) -> int:
-    """schubert_cell of a window lattice in the even-rank variant, where
-    dual(L) = u*L reads u^-1*dual(L) = L."""
+    """The cell index of a window lattice on the even-rank duality locus,
+    where dual(L) = u*L reads u^-1*dual(L) = L.  Raises NotInGrassmannian
+    off the locus and UnrecognizedType when the type relative to lam is
+    not a coweight type vector."""
     if L.shifted_dual() != L:
         raise NotInGrassmannian("lattice does not satisfy the duality relation")
     return _coweight_index(L.type_vector())
@@ -435,17 +353,6 @@ def _coweight_index(t) -> int:
     if plus != minus or plus + minus + t.count(0) != len(t):
         raise UnrecognizedType(f"type {tuple(t)} is not a coweight type")
     return plus
-
-
-def in_schubert_variety(L: LaurentLattice, i: int, variant: str) -> bool:
-    """Closure membership: cell index at most i, and matching parity in the
-    even-rank variant."""
-    return _in_closure(schubert_cell(L, variant), i, variant)
-
-
-def _in_closure(k: int, i: int, variant: str) -> bool:
-    """Whether cell k lies in the closure of cell i."""
-    return k <= i and (variant == "selfdual" or (i - k) % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -480,68 +387,41 @@ class DemazureReport:
         return f"DemazureReport(i={self.index}, [{marks}])"
 
 
-def _free_quotient(outer, inner, rank: int):
+def _free_quotient(outer: WindowLattice, inner: WindowLattice, rank: int):
     """(bool, text): inner inside outer with quotient free of the given
-    rank and killed by the variable, i.e. exponent profile all 0s and 1s
-    with exactly ``rank`` ones.  A window lattice's profile is worked out
-    over k(u) only for the text of a failure."""
+    rank and killed by u, i.e. exponent profile all 0s and 1s with exactly
+    ``rank`` ones: inner <= outer, u*outer <= inner, and dimensions rank
+    apart.  The profile is worked out over k(u) only for the text of a
+    failure."""
     want = [0] * (outer.n - rank) + [1] * rank
-    if isinstance(outer, WindowLattice):
-        # inner <= outer, u*outer <= inner, dimensions rank apart
-        okay = (outer.dim - inner.dim == rank and outer.contains(inner)
-                and inner.contains(Subspace(inner.ring, inner.ambient,
-                                            outer._moved(1), coerce=False)))
-        prof = want if okay else quotient_profile(outer.lattice(),
-                                                  inner.lattice())
-    else:
-        prof = quotient_profile(outer, inner)
-        okay = prof == want
+    okay = (outer.dim - inner.dim == rank and outer.contains(inner)
+            and inner.contains(Subspace(inner.ring, inner.ambient,
+                                        outer._moved(1), coerce=False)))
+    prof = want if okay else lattice_type(inner.lattice(), outer.lattice())
     return okay, f"profile {tuple(prof)} vs expected {tuple(want)}"
 
 
-def demazure_membership(L: LaurentLattice, Lp: LaurentLattice, i: int,
-                        variant: str) -> DemazureReport:
-    """Check the four conditions of the two-lattice description at index i.
-
-    Even-rank variant: (1) L lies in the closure of cell i; (2) Lp sits
-    under its shifted dual with a rank-2i quotient, inside the shifted Lp;
-    (3) Lp under the base lattice with rank-i quotient; (4) Lp under L with
-    rank-i quotient.  Odd-rank variant: (2) expects rank n-2i and the
-    inclusions of (3) and (4) run the other way.
-    """
-    _check_variant(variant, L.n)
-    if Lp.ring is not L.ring or Lp.n != L.n:
-        raise AmbientMismatch("lattice pair must share field and rank")
-    if not 0 <= i <= L.n // 2:
-        raise BadParameters("index out of range for the pair test")
-    return _pair_test(L, Lp, base_lattice(L.ring, L.n, variant), i, variant,
-                      schubert_cell(L, variant))
-
-
-def _pair_test(L, Lp, lam, i: int, variant: str, cell: int) -> DemazureReport:
-    """demazure_membership on checked arguments, given the base lattice and
-    the cell index of L; L, Lp and lam are all LaurentLattices or all
-    WindowLattices."""
-    c1 = _in_closure(cell, i, variant)
+def _pair_test(L: WindowLattice, Lp: WindowLattice, lam: WindowLattice,
+               i: int, cell: int) -> DemazureReport:
+    """The four conditions of the even-rank two-lattice description at
+    index i, given the base lattice and the cell index of L: (1) L lies in
+    the closure of cell i; (2) Lp sits under its shifted dual with a
+    rank-2i quotient, inside u^-1*Lp; (3) Lp under lam with rank-i
+    quotient; (4) Lp under L with rank-i quotient."""
+    c1 = cell <= i and (i - cell) % 2 == 0
     d1 = f"cell closure at index {i}"
 
     shifted_dual = Lp.shifted_dual()
     shifted = Lp.shifted(-1)
-    rank2 = 2 * i if variant == "pimodular" else L.n - 2 * i
-    inner_ok, d2 = _free_quotient(shifted_dual, Lp, rank2)
+    inner_ok, d2 = _free_quotient(shifted_dual, Lp, 2 * i)
     dual_inside = shifted.contains(shifted_dual)
     c2 = inner_ok and dual_inside
     if not dual_inside:
         d2 += "; shifted dual escapes the shifted lattice"
 
-    if variant == "pimodular":
-        c3, d3 = _free_quotient(lam, Lp, i)
-        c4, d4 = _free_quotient(L, Lp, i)
-    else:
-        c3, d3 = _free_quotient(Lp, lam, i)
-        c4, d4 = _free_quotient(Lp, L, i)
-
-    return DemazureReport(variant, i, (c1, c2, c3, c4), (d1, d2, d3, d4))
+    c3, d3 = _free_quotient(lam, Lp, i)
+    c4, d4 = _free_quotient(L, Lp, i)
+    return DemazureReport("pimodular", i, (c1, c2, c3, c4), (d1, d2, d3, d4))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +541,7 @@ def _phi_image(point: ModelPoint, label, first: WindowLattice,
     LG = window_from_point(point.G_rows, point.frame)
     second = LG.shifted_dual().shifted(2)
     lam = WindowLattice.base(point.ring, first.n)
-    dem = _pair_test(first, second, lam, point.s, "pimodular", cell)
+    dem = _pair_test(first, second, lam, point.s, cell)
     return PhiImage(first, second, cell, label, dem, cell == label.h)
 
 
@@ -746,44 +626,3 @@ def _fiber_report(rows, variant: str, exhaustive: bool,
                     f"cell {k} carries l-values {sorted(got)}, "
                     f"expected {sorted(expected)}")
     return TauFiberReport(s, variant, exhaustive, cells, counts, problems)
-
-
-# ---------------------------------------------------------------------------
-# randomized material for property checks
-# ---------------------------------------------------------------------------
-
-def random_window_lattice(field: FunctionField, n: int, rng,
-                          degree: int = 2) -> LaurentLattice:
-    """Random lattice between the shifted-down and shifted-up copies of the
-    even-rank base lattice: contains u*base and lies in u^-1*base."""
-    if n % 2 != 0:
-        raise BadParameters("the window is built around the even-rank base")
-    base = base_lattice(field, n, "pimodular")
-    rand = Matrix(field, [[field.random_poly(rng, degree) for _ in range(n)]
-                          for _ in range(n)], coerce=False)
-    upper = base.matrix * rand * field.monomial(-1)
-    lower = base.matrix * field.monomial(1)
-    return LaurentLattice(field, Matrix.from_cols(
-        field, upper.cols() + lower.cols()))
-
-
-def random_unit_matrix(field: FunctionField, n: int, rng,
-                       degree: int = 2) -> Matrix:
-    """Random integral matrix with unit determinant at the variable:
-    unipotent lower times unipotent upper times nonzero constant diagonal."""
-    lo = Matrix.identity(field, n).copy_data()
-    up = Matrix.identity(field, n).copy_data()
-    for i in range(n):
-        for j in range(i):
-            lo[i][j] = field.random_poly(rng, degree)
-            up[j][i] = field.random_poly(rng, degree)
-    base = field.base
-    diag = []
-    for _ in range(n):
-        c = base.random(rng)
-        while c.is_zero():
-            c = base.random(rng)
-        diag.append(field.coerce(c))
-    return (Matrix(field, lo, coerce=False)
-            * Matrix.diagonal(field, diag)
-            * Matrix(field, up, coerce=False))

@@ -804,8 +804,3 @@ def smith_form_local(M: Matrix):
     exps = [exps[i] for i in order]
     return (Matrix(ring, U2, coerce=False), Matrix(ring, A2, coerce=False),
             Matrix(ring, V2, coerce=False), exps)
-
-
-def is_u_integral(M: Matrix) -> bool:
-    """All entries regular at the distinguished variable."""
-    return all(x.is_integral() for row in M.data for x in row)

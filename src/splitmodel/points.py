@@ -572,16 +572,21 @@ _REJECT_REASONS = {"ranks": "rank", "containment": "rank",
 def _intervals(frame, s):
     """(G, L, U) for each G of the exhaustive walk: G over the
     s-dimensional subspaces of the image of t, L = G + G-perp' and U the
-    preimage of G under t."""
+    preimage of G under t.  G and U are written in reduced form directly:
+    G's rows are the reduced rows g of Gproj as (0 | g), and U's are the
+    (g | 0) above the identity on the image of t."""
     field, n = frame.ring, frame.n
     zrow = [field.zero] * n
     t_lambda = list(frame.t_lambda().basis)
     for Gproj in subspaces_iter(field, n, s):
-        G = Subspace(field, 2 * n, [zrow + list(row) for row in Gproj.basis],
-                     coerce=False)
+        G = Subspace._echelon(field, 2 * n,
+                              [zrow + list(row) for row in Gproj.basis],
+                              [p + n for p in Gproj.pivots])
         L = G.sum(orthogonal(frame, G, "modified"))
-        U = Subspace(field, 2 * n, [list(row[n:]) + zrow for row in G.basis]
-                     + t_lambda, coerce=False)
+        U = Subspace._echelon(field, 2 * n,
+                              [list(row) + zrow for row in Gproj.basis]
+                              + t_lambda,
+                              Gproj.pivots + tuple(range(n, 2 * n)))
         yield G, L, U
 
 

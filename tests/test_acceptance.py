@@ -14,8 +14,7 @@ from splitmodel.charts import (flat_lift, groebner, is_squarefree,
 from splitmodel.degenerations import (ClosurePoset,
                                       admissible_generization_pairs,
                                       generization_lift, nonsmooth_witness)
-from splitmodel.lattices import (lattice_dual, lattice_from_point, phi_map,
-                                 schubert_cell, tau_fiber_check)
+from splitmodel.lattices import lattice_from_point, phi_map, tau_fiber_check
 from splitmodel.linalg import Matrix, det, rank, smith_form_local
 from splitmodel.points import (StratumLabel, census, chart_point_general,
                                invariants, iter_validated_points,
@@ -23,6 +22,8 @@ from splitmodel.points import (StratumLabel, census, chart_point_general,
                                random_symmetric, sample_eps_chart_point,
                                stratum_dimension)
 from splitmodel.rings import FunctionField, PolynomialRing, PrimeField
+
+from ku_lattices import lattice_dual, scaled, schubert_cell
 
 
 def _announce(num, name, detail):
@@ -216,9 +217,9 @@ def test_criterion_09_schubert_comparison():
     for point, label in iter_validated_points(4, 2, 3):
         LF = lattice_from_point(point.F_rows, point.frame)
         # the component lattice repeats under both shifted duals
-        assert LF == lattice_dual(LF).scaled(u)
-        assert LF == lattice_dual(LF, "symmetric-trace").scaled(u_sq)
-        assert schubert_cell(LF.scaled(u_inv), "pimodular") == label.h
+        assert LF == scaled(lattice_dual(LF), u)
+        assert LF == scaled(lattice_dual(LF, "symmetric-trace"), u_sq)
+        assert schubert_cell(scaled(LF, u_inv), "pimodular") == label.h
         points.append((point, label))
     assert len(points) == 250
     tau = tau_fiber_check([p for p, _ in points], exhaustive=True)

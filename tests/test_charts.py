@@ -316,7 +316,11 @@ def test_squarefreeness_detector():
 # Macaulay-matrix membership oracle
 # ---------------------------------------------------------------------------
 
-def test_membership_routes_agree_on_random_ideals():
+def _random_ideal_trials():
+    """Seeded random ideals in x, y, z over F_3, criterion-10 style: per
+    trial two or three random generators of degree at most 2, an explicit
+    combination of them with the degree bound of its certificate, and a
+    random polynomial of degree at most 3 (possibly zero)."""
     rng = random.Random(5)
     R = PolynomialRing(F3, ("x", "y", "z"), "degrevlex")
 
@@ -330,21 +334,26 @@ def test_membership_routes_agree_on_random_ideals():
                                   clean=False)
         return out
 
-    checked = 0
     for trial in range(20):
         gens = [random_poly(2, 3) for _ in range(rng.randrange(2, 4))]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        gb = groebner(gens)
-
-        # an explicit combination is certified by both routes
         combo = R.zero
         topdeg = 0
         for g in gens:
             m = tuple(rng.randrange(2) for _ in range(3))
             combo = combo + _shift(g, m, F3.from_int(rng.randrange(1, 3)))
             topdeg = max(topdeg, g.total_degree() + sum(m))
+        yield gens, combo, topdeg, random_poly(3, 4)
+
+
+def test_membership_routes_agree_on_random_ideals():
+    checked = 0
+    for gens, combo, topdeg, f in _random_ideal_trials():
+        gb = groebner(gens)
+
+        # an explicit combination is certified by both routes
         if not combo.is_zero():
             assert reduce_poly(combo, gb).is_zero()
             assert macaulay_member(combo, gens, topdeg)
@@ -352,7 +361,6 @@ def test_membership_routes_agree_on_random_ideals():
         # on a random polynomial the two decisions coincide (the degrevlex
         # order is degree-compatible, so membership in the span of the basis
         # always has a certificate at the degree of the polynomial itself)
-        f = random_poly(3, 4)
         if f.is_zero():
             continue
         gb_yes = reduce_poly(f, gb).is_zero()
@@ -360,6 +368,24 @@ def test_membership_routes_agree_on_random_ideals():
         assert gb_yes == mac_yes
         checked += 1
     assert checked >= 15
+
+
+def test_groebner_matches_sympy_on_random_ideals():
+    sympy = pytest.importorskip("sympy")
+    names = sympy.symbols(("x", "y", "z"))
+    compared = 0
+    for gens, _, _, _ in _random_ideal_trials():
+        theirs = sympy.groebner(
+            [sympy.Poly.from_dict({e: c.val for e, c in g.terms.items()},
+                                  *names) for g in gens],
+            *names, modulus=3, order="grevlex")
+        ours = groebner(gens)
+        assert ({frozenset((e, c.val) for e, c in g.terms.items())
+                 for g in ours}
+                == {frozenset((e, c % 3) for e, c in p.terms())
+                    for p in theirs.polys})
+        compared += 1
+    assert compared > 0
 
 
 def test_macaulay_oracle_basics():

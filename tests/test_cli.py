@@ -24,6 +24,9 @@ def test_config_rejections(capsys):
     code, _, err = _run(["census", "--n", "4", "--q", "4"], capsys)
     assert code == 2
     assert "odd prime" in err
+    code, _, err = _run(["census", "--n", "4", "--q", "9"], capsys)
+    assert code == 2
+    assert err.strip() == "q must be an odd prime: 3, 5 or 7"
     code, _, err = _run(["closure", "--format", "csv"], capsys)
     assert code == 2
     assert "census strata" in err

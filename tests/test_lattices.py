@@ -7,19 +7,21 @@ from splitmodel.errors import (AmbientMismatch, BadParameters, InvalidPoint,
                                UnrecognizedType)
 from splitmodel.frame import build_frame
 from splitmodel.lattices import (CoweightLabel, LaurentLattice, admissible_set,
-                                 base_lattice, demazure_membership,
-                                 hermitian_gram, in_schubert_variety,
-                                 lattice_contains, lattice_dual,
-                                 lattice_from_point, lattice_type,
-                                 laurent_text, phi_map, quotient_profile,
-                                 random_unit_matrix, random_window_lattice,
-                                 schubert_cell, schubert_dimension,
-                                 standard_lattice, tau_fiber_check)
-from splitmodel.linalg import Matrix, det, inverse, is_u_integral
+                                 base_lattice, lattice_from_point,
+                                 lattice_type, laurent_text, phi_map,
+                                 schubert_dimension, standard_lattice,
+                                 tau_fiber_check)
+from splitmodel.linalg import Matrix, det, inverse
 from splitmodel.points import (ModelPoint, chart_point_general,
                                iter_validated_points, sample_eps_chart_point,
                                stratum_dimension)
 from splitmodel.rings import FunctionField, PrimeField
+
+from ku_lattices import (demazure_membership, hermitian_gram,
+                         in_schubert_variety, is_u_integral, lattice_contains,
+                         lattice_dual, quotient_profile, random_unit_matrix,
+                         random_window_lattice, representative, scaled,
+                         schubert_cell, translated_base)
 
 
 def _field(q=3):
@@ -56,7 +58,7 @@ def test_equality_matches_unit_transport():
         assert LaurentLattice(K, L.matrix * U) == L
         rel = inverse(L.matrix) * (L.matrix * U)
         assert is_u_integral(rel) and det(rel).valuation() == 0
-        shifted = L.scaled(K.monomial(1))
+        shifted = scaled(L, K.monomial(1))
         assert shifted != L
         rel2 = inverse(L.matrix) * shifted.matrix
         assert det(rel2).valuation() != 0
@@ -66,11 +68,12 @@ def test_standard_duals_both_forms():
     K = _field()
     u = K.monomial(1)
     lam = base_lattice(K, 4, "pimodular")
-    assert lattice_dual(lam) == lam.scaled(u)
+    assert lattice_dual(lam) == scaled(lam, u)
     assert lattice_dual(lam, "symmetric-trace") == lam
     lam0 = base_lattice(K, 5, "selfdual")
     assert lattice_dual(lam0) == lam0
-    assert lattice_dual(lam0, "symmetric-trace") == lam0.scaled(K.monomial(-1))
+    assert (lattice_dual(lam0, "symmetric-trace")
+            == scaled(lam0, K.monomial(-1)))
     with pytest.raises(BadParameters):
         lattice_dual(lam, "other")
     # gram is an antidiagonal involution
@@ -83,16 +86,16 @@ def test_dual_scaling_and_involution():
     u = K.monomial(1)
     rng = random.Random(19)
     lam = base_lattice(K, 4, "pimodular")
-    assert lattice_dual(lam.scaled(u)) == lattice_dual(lam).scaled(
-        K.monomial(-1))
+    assert lattice_dual(scaled(lam, u)) == scaled(lattice_dual(lam),
+                                                   K.monomial(-1))
     for _ in range(40):
         L = random_window_lattice(K, 4, rng)
         assert lattice_dual(lattice_dual(L)) == L
         assert lattice_dual(lattice_dual(L, "symmetric-trace"),
                             "symmetric-trace") == L
         c = K.monomial(rng.choice([-2, -1, 1, 2]))
-        assert lattice_dual(L.scaled(c)) == lattice_dual(L).scaled(
-            c.sigma().inverse())
+        assert lattice_dual(scaled(L, c)) == scaled(lattice_dual(L),
+                                                     c.sigma().inverse())
 
 
 def test_lattice_type_examples():
@@ -100,9 +103,9 @@ def test_lattice_type_examples():
     u = K.monomial(1)
     lam = base_lattice(K, 4, "pimodular")
     assert lattice_type(lam, lam) == [0, 0, 0, 0]
-    L1 = CoweightLabel(1, "pimodular", 4).translated_base(K)
+    L1 = translated_base(CoweightLabel(1, "pimodular", 4), K)
     assert lattice_type(L1, lam) == [-1, 0, 0, 1]
-    assert lattice_type(lam.scaled(u), lam) == [1, 1, 1, 1]
+    assert lattice_type(scaled(lam, u), lam) == [1, 1, 1, 1]
     with pytest.raises(AmbientMismatch):
         lattice_type(lam, base_lattice(K, 5, "selfdual"))
 
@@ -139,10 +142,10 @@ def test_admissible_chains():
 
 def test_coweight_representatives():
     K = _field()
-    rep = CoweightLabel(1, "pimodular", 4).representative(K)
+    rep = representative(CoweightLabel(1, "pimodular", 4), K)
     assert [laurent_text(rep.data[i][i]) for i in range(4)] == [
         "1*u", "1", "1", "2*u^-1"]
-    rep5 = CoweightLabel(1, "selfdual", 5).representative(K)
+    rep5 = representative(CoweightLabel(1, "selfdual", 5), K)
     assert [laurent_text(rep5.data[i][i]) for i in range(5)] == [
         "1*u", "1", "2", "1", "2*u^-1"]
     # translated lattices land on their own type vector, both parities
@@ -150,7 +153,7 @@ def test_coweight_representatives():
         base = base_lattice(K, n, variant)
         for i in range(n // 2 + 1):
             lab = CoweightLabel(i, variant, n)
-            got = lattice_type(lab.translated_base(K), base)
+            got = lattice_type(translated_base(lab, K), base)
             assert got == sorted(lab.type_vector())
 
 
@@ -158,7 +161,7 @@ def test_schubert_cell_examples():
     K = _field()
     lam = base_lattice(K, 4, "pimodular")
     assert schubert_cell(lam, "pimodular") == 0
-    L2 = CoweightLabel(2, "pimodular", 4).translated_base(K)
+    L2 = translated_base(CoweightLabel(2, "pimodular", 4), K)
     assert lattice_type(L2, lam) == [-1, -1, 1, 1]
     assert schubert_cell(L2, "pimodular") == 2
     assert schubert_cell(base_lattice(K, 5, "selfdual"), "selfdual") == 0
@@ -168,7 +171,7 @@ def test_schubert_cell_examples():
     g = Matrix.diagonal(K, [K.monomial(1), K.monomial(-1), K.one,
                             K.monomial(-2)])
     L = LaurentLattice(K, g)
-    assert lattice_dual(L) == L.scaled(K.monomial(1))
+    assert lattice_dual(L) == scaled(L, K.monomial(1))
     with pytest.raises(UnrecognizedType):
         schubert_cell(L, "pimodular")
 
@@ -176,7 +179,7 @@ def test_schubert_cell_examples():
 def test_variety_membership_parity():
     K = _field()
     lam = base_lattice(K, 4, "pimodular")
-    L2 = CoweightLabel(2, "pimodular", 4).translated_base(K)
+    L2 = translated_base(CoweightLabel(2, "pimodular", 4), K)
     assert in_schubert_variety(lam, 0, "pimodular")
     assert in_schubert_variety(lam, 2, "pimodular")
     assert not in_schubert_variety(lam, 1, "pimodular")
@@ -206,7 +209,7 @@ def test_demazure_worked_examples():
     rep = demazure_membership(lam, lam, 0, "pimodular")
     assert rep.conditions == (True, True, True, True)
     assert rep.ok
-    L1 = CoweightLabel(1, "pimodular", 4).translated_base(K)
+    L1 = translated_base(CoweightLabel(1, "pimodular", 4), K)
     rep2 = demazure_membership(L1, lam, 0, "pimodular")
     assert rep2.conditions[3] is False
     assert not rep2.ok
@@ -229,7 +232,7 @@ def test_lattice_from_point_examples():
     K = _field()
     u = K.monomial(1)
     lam = base_lattice(K, 4, "pimodular")
-    assert lattice_from_point(frame.t_lambda(), frame) == lam.scaled(u)
+    assert lattice_from_point(frame.t_lambda(), frame) == scaled(lam, u)
     assert lattice_from_point(Matrix.identity(field, 8), frame) == lam
     G_rows = Matrix.from_rows(field, [frame.basis_vector(5),
                                       frame.basis_vector(6)])
@@ -249,7 +252,7 @@ def test_lattice_from_point_examples():
     # relative to the base lattice the quotient profile is (1, 1, 2, 2)
     assert quotient_profile(lam, LG) == [1, 1, 2, 2]
     assert lattice_contains(lam, LG)
-    assert lattice_contains(LG, lam.scaled(usq))
+    assert lattice_contains(LG, scaled(lam, usq))
 
 
 def test_lattice_from_point_errors():
@@ -281,8 +284,8 @@ def test_point_lattice_period_identity():
         if not pt.validate().verdict:
             continue
         LF = lattice_from_point(pt.F_rows, pt.frame)
-        assert LF == lattice_dual(LF).scaled(u)
-        assert LF == lattice_dual(LF, "symmetric-trace").scaled(usq)
+        assert LF == scaled(lattice_dual(LF), u)
+        assert LF == scaled(lattice_dual(LF, "symmetric-trace"), usq)
         checked += 1
     assert checked >= 8
 
@@ -377,9 +380,9 @@ def test_serialization_and_helpers():
     assert d["matrix"][0][0] == "1*u^-1" and d["matrix"][3][3] == "1"
     rng = random.Random(3)
     L = random_window_lattice(K, 4, rng)
-    assert lattice_contains(lam.scaled(K.monomial(-1)), L)
-    assert lattice_contains(L, lam.scaled(K.monomial(1)))
+    assert lattice_contains(scaled(lam, K.monomial(-1)), L)
+    assert lattice_contains(L, scaled(lam, K.monomial(1)))
     with pytest.raises(BadParameters):
         random_window_lattice(K, 5, rng)
     with pytest.raises(BadParameters):
-        lam.scaled(K.zero)
+        scaled(lam, K.zero)

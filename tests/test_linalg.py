@@ -17,7 +17,6 @@ from splitmodel.linalg import (
     hstack,
     intermediate_subspaces_iter,
     inverse,
-    is_u_integral,
     kernel_basis,
     rank,
     residual_rank,
@@ -33,6 +32,8 @@ from splitmodel.rings import (
     PrimeField,
     SeriesRing,
 )
+
+from ku_lattices import is_u_integral
 
 F5 = PrimeField(5)
 F3 = PrimeField(3)

@@ -8,6 +8,7 @@ import splitmodel
 
 PACKAGE = Path(splitmodel.__file__).parent
 TESTS = Path(__file__).parent
+README = TESTS.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -46,3 +47,24 @@ def test_every_definition_is_referenced():
                 if not dunder and total[d.name] <= _references(d)[d.name]:
                     orphans.append(f"{path.name}:{d.lineno} {d.name}")
     assert orphans == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = splitmodel.__all__
+    assert exported == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == imported
+
+
+def test_readme_library_imports_resolve():
+    text = README.read_text(encoding="utf-8")
+    library = text[text.index("## Library"):]
+    block = library[library.index("```python") + len("```python"):]
+    tree = ast.parse(block[:block.index("```")])
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "splitmodel" for alias in node.names]
+    assert names and [n for n in names if not hasattr(splitmodel, n)] == []

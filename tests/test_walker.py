@@ -61,6 +61,25 @@ def intervals(n, s, q, limit=None):
         yield frame.gram_sym, G, L, U
 
 
+@pytest.mark.parametrize("n, s, q, count", [(4, 2, 3, 130), (4, 1, 5, 156)])
+def test_intervals_build_g_and_u_reduced(n, s, q, count):
+    # G and U come out of _intervals in reduced form without an
+    # elimination: reducing their defining rows gives the same basis and
+    # pivots, for every G
+    frame = build_frame(n, ring=PrimeField(q))
+    field, zrow = frame.ring, [frame.ring.zero] * n
+    t_image = [list(r) for r in frame.t_lambda().basis]
+    seen = 0
+    for G, _, U in points._intervals(frame, s):
+        want_G = Subspace(field, 2 * n, G.basis, coerce=False)
+        want_U = Subspace(field, 2 * n, [list(r[n:]) + zrow for r in G.basis]
+                          + t_image, coerce=False)
+        assert (G.basis, G.pivots) == (want_G.basis, want_G.pivots)
+        assert (U.basis, U.pivots) == (want_U.basis, want_U.pivots)
+        seen += 1
+    assert seen == count
+
+
 @pytest.mark.parametrize("n, s, q, limit, total", [
     (4, 1, 3, None, 80),
     (4, 2, 3, None, 410),

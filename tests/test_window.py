@@ -2,13 +2,14 @@
 
 A lattice between u^2*lam and u^-2*lam is held on the transfer path as a
 u-stable subspace of W = u^-2*lam / u^2*lam.  Every window operation must
-give what the k(u) operation gives on the LaurentLattice of the same
-generators: the shifts, the shifted dual, equality, the type vector,
-containment, the free-quotient test with its failure text, the cell with
-its raises, and the whole pair-test report.  Inputs are seeded random
-u-stable subspaces over F_3, F_5 and F_9 at n = 4 and 6, the lattices of
-sampled points, coweight translates, diagonal lattices on the duality
-locus, and random_window_lattice read into W.
+give what the k(u) oracle of tests/ku_lattices.py gives on the
+LaurentLattice of the same generators: the shifts, the shifted dual,
+equality, the type vector, containment, the free-quotient test with its
+failure text, the cell with its raises, and the whole pair-test report.
+Inputs are seeded random u-stable subspaces over F_3, F_5 and F_9 at n = 4
+and 6, the lattices of sampled points, coweight translates, diagonal
+lattices on the duality locus, and the oracle's random_window_lattice
+read into W.
 """
 
 import json
@@ -22,14 +23,16 @@ from splitmodel.frame import build_frame
 from splitmodel.lattices import (CoweightLabel, LaurentLattice, WindowLattice,
                                  _free_quotient, _pair_test, _phi_image,
                                  _shifted_cell, _window_cell, base_lattice,
-                                 demazure_membership, lattice_contains,
-                                 lattice_dual, lattice_from_point,
-                                 lattice_type, random_window_lattice,
-                                 schubert_cell, window_from_point)
+                                 lattice_from_point, lattice_type,
+                                 window_from_point)
 from splitmodel.linalg import Matrix
 from splitmodel.points import (chart_point_general, invariants,
                                sample_general_chart_point)
 from splitmodel.rings import FunctionField, PrimeField
+
+from ku_lattices import (demazure_membership, free_quotient, lattice_contains,
+                         lattice_dual, random_window_lattice, schubert_cell,
+                         shifted, shifted_dual, translated_base)
 
 CASES = [(q, n) for q in (3, 5, 9) for n in (4, 6)]
 
@@ -108,8 +111,8 @@ def _on_locus(q, n, rng):
         point = sample_general_chart_point(n, m, h, l, field, rng)
         out.append(window_from_point(point.F_rows, point.frame).shifted(-1))
     for i in range(m + 1):
-        out.append(_window_of(CoweightLabel(i, "pimodular", n)
-                              .translated_base(K)))
+        label = CoweightLabel(i, "pimodular", n)
+        out.append(_window_of(translated_base(label, K)))
     for _ in range(3):
         d = [rng.randrange(-2, 3) for _ in range(m)]
         diag = [K.monomial(x - 1) for x in d] + [K.monomial(-x) for x in d[::-1]]
@@ -151,13 +154,13 @@ def test_shifts_agree_or_refuse_to_leave_the_window(q, n):
     K = FunctionField(ring, "u")
     rng = random.Random(200 * q + n)
     lam = base_lattice(K, n, "pimodular")
-    top, bottom = lam.shifted(-2), lam.shifted(2)
+    top, bottom = shifted(lam, -2), shifted(lam, 2)
     seen = set()
     for _ in range(_count(q, n, 6)):
         S = _random_window(ring, n, rng, lowest=rng.randrange(3))
         L = S.lattice()
         for d in range(-4, 5):
-            X = L.shifted(d)
+            X = shifted(L, d)
             try:
                 got = S.shifted(d)
             except ConstructionFailed:
@@ -185,7 +188,7 @@ def test_shifted_dual_and_type_vector_agree(q, n):
     for _ in range(6):
         S = _random_window(ring, n, rng)
         L = S.lattice()
-        assert S.shifted_dual().lattice() == lattice_dual(L).shifted(-1)
+        assert S.shifted_dual().lattice() == shifted_dual(L)
         assert S.type_vector() == lattice_type(L, lam)
     assert WindowLattice.base(ring, n).lattice() == lam
 
@@ -210,7 +213,7 @@ def test_containment_and_free_quotient_agree(q, n):
         gap = outer.dim - inner.dim
         for rank in {gap, gap + 1} & set(range(n + 1)):
             got = _free_quotient(outer, inner, rank)
-            assert got == _free_quotient(Lo, Li, rank)
+            assert got == free_quotient(Lo, Li, rank)
             seen.add(got[0])
     assert seen == {True, False}
 
@@ -261,7 +264,7 @@ def test_pair_test_reports_agree(q, n):
                    for _ in range(_count(q, n, 10))]
     seen = [set() for _ in range(4)]
     for L, Lp, i in cases:
-        got = _pair_test(L, Lp, lam, i, "pimodular", _window_cell(L))
+        got = _pair_test(L, Lp, lam, i, _window_cell(L))
         want = demazure_membership(L.lattice(), Lp.lattice(), i, "pimodular")
         assert got.to_json_dict() == want.to_json_dict()
         for k, c in enumerate(got.conditions):
@@ -286,10 +289,10 @@ def test_failing_phi_image_certificate_is_the_k_u_one():
     label = invariants(point)
     image = _phi_image(point, label, *_shifted_cell(point, "pimodular"))
     assert not image.ok and image.demazure.conditions[1] is False
-    first = lattice_from_point(point.F_rows, point.frame).shifted(-1)
+    first = shifted(lattice_from_point(point.F_rows, point.frame), -1)
     cell = schubert_cell(first, "pimodular")
-    second = lattice_dual(
-        lattice_from_point(point.G_rows, point.frame)).shifted(1)
+    second = shifted(lattice_dual(
+        lattice_from_point(point.G_rows, point.frame)), 1)
     want = {
         "first": first.to_json_dict(),
         "second": second.to_json_dict(),
