@@ -5,8 +5,7 @@ from .charts import (flat_lift, groebner, is_squarefree, isotropy_relations,
                      macaulay_member, reduce_poly, reduced_presentation,
                      substitution_check)
 from .degenerations import (ClosurePoset, admissible_generization_pairs,
-                            closure_poset, generization_lift,
-                            nonsmooth_witness)
+                            generization_lift, nonsmooth_witness)
 from .errors import SplitModelError
 from .frame import Frame, build_frame, orthogonal, pair
 from .lattices import (CoweightLabel, LaurentLattice, admissible_set,
@@ -30,7 +29,7 @@ __all__ = [
     "SeriesRing", "SplitModelError", "StratumLabel", "Subspace",
     "admissible_generization_pairs", "admissible_set", "base_lattice",
     "build_frame", "census", "chart_point_eps", "chart_point_general",
-    "chart_point_local", "closure_poset", "flat_lift", "generization_lift",
+    "chart_point_local", "flat_lift", "generization_lift",
     "groebner", "invariants", "is_squarefree", "isotropy_relations",
     "iter_validated_points", "lattice_from_point", "lattice_type",
     "macaulay_member", "nonsmooth_witness", "orthogonal", "pair", "phi_map",

@@ -37,6 +37,7 @@ from .rings import (
     PolynomialRing,
     PrimeField,
     SeriesRing,
+    _key_degrevlex,
 )
 
 #: default cap on Buchberger pairs processed in one completion run
@@ -50,9 +51,10 @@ VARIABLE_LIMIT = 16
 # variable layout helpers
 # ---------------------------------------------------------------------------
 #
-# Monomial order convention: degrevlex with w-entries smallest, then the
-# t/s/z families, then y, then x, and pi below everything.  Earlier names in
-# a PolynomialRing are larger, so blocks are listed from x down to pi.
+# Monomial order convention: every PolynomialRing orders by degrevlex, with
+# earlier names larger.  So that w-entries come smallest, then the t/s/z
+# families, then y, then x, and pi below everything, blocks are listed from
+# x down to pi.
 
 def _grid_names(prefix, nrows, ncols):
     return [f"{prefix}_{i}_{j}" for i in range(1, nrows + 1)
@@ -158,7 +160,7 @@ class IdealPresentation:
             "aux": self.aux,
             "variables": list(self.ring.names),
             "eliminated": list(self.eliminated),
-            "order": self.ring.order,
+            "order": "degrevlex",
             "generators": [g.text() for g in self.generators],
         }
 
@@ -191,7 +193,7 @@ def isotropy_relations(s, r=None, base=None):
     names = (_grid_names("x", q, sp) + _grid_names("y", q, sp)
              + _grid_names("z", sp, sp) + _grid_names("w", sp, sp)
              + [f"u_{k}" for k in range(1, aux + 1)] + ["pi"])
-    ring = PolynomialRing(base, names, "degrevlex")
+    ring = PolynomialRing(base, names)
 
     gens = []
     if sp:
@@ -225,7 +227,7 @@ def reduced_presentation(s, r, base=None, set_pi_zero=False):
     names = (_grid_names("x", q, sp) + _grid_names("y", q, sp)
              + _upper_names("t", sp) + _upper_names("w", sp)
              + [f"u_{k}" for k in range(1, aux + 1)] + ["pi"])
-    ring = PolynomialRing(base, names, "degrevlex")
+    ring = PolynomialRing(base, names)
 
     gens = []
     if sp:
@@ -339,11 +341,11 @@ def _shift(f, exps, coeff):
 class GroebnerBasis:
     """Reduced monic basis together with the order it was computed in."""
 
-    __slots__ = ("ring", "order", "basis", "pairs_processed")
+    __slots__ = ("ring", "basis", "pairs_processed")
+    order = "degrevlex"
 
     def __init__(self, ring, basis, pairs_processed=0):
         self.ring = ring
-        self.order = ring.order
         self.basis = tuple(basis)
         self.pairs_processed = pairs_processed
 
@@ -389,9 +391,8 @@ def reduce_poly(f, gb):
 
     remainder = ring.zero
     work = f
-    key = ring.order_key
     while not work.is_zero():
-        m = max(work.terms, key=key)
+        m = max(work.terms, key=_key_degrevlex)
         c = work.terms[m]
         step = None
         for le, lc, g in leads:
@@ -418,8 +419,7 @@ def _spoly(f, g):
 
 def _reduced_basis(G):
     # minimal: ascending leads, so divisors are seen before their multiples
-    key = G[0].ring.order_key if G else None
-    ordered = sorted(G, key=lambda g: key(g.lead_monomial()))
+    ordered = sorted(G, key=lambda g: _key_degrevlex(g.lead_monomial()))
     kept = []
     for g in ordered:
         lm = g.lead_monomial()
@@ -430,7 +430,7 @@ def _reduced_basis(G):
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1:]
         kept[i] = reduce_poly(kept[i], others).monic()
-    kept.sort(key=lambda g: key(g.lead_monomial()), reverse=True)
+    kept.sort(key=lambda g: _key_degrevlex(g.lead_monomial()), reverse=True)
     return kept
 
 
@@ -444,8 +444,6 @@ def _buchberger(gens, pair_budget):
     if not G:
         return [], 0
 
-    ring = G[0].ring
-    key = ring.order_key
     sugars = [g.total_degree() for g in G]
     heap = []
     pending = set()
@@ -455,7 +453,7 @@ def _buchberger(gens, pair_budget):
         lcm = _lcm_exps(li, lj)
         sugar = max(sugars[i] + sum(lcm) - sum(li),
                     sugars[j] + sum(lcm) - sum(lj))
-        heapq.heappush(heap, (sugar, key(lcm), i, j))
+        heapq.heappush(heap, (sugar, _key_degrevlex(lcm), i, j))
         pending.add((i, j))
 
     for j in range(len(G)):
@@ -502,13 +500,10 @@ def _buchberger(gens, pair_budget):
     return _reduced_basis(G), processed
 
 
-def groebner(generators, order=None, pair_budget=PAIR_BUDGET,
+def groebner(generators, pair_budget=PAIR_BUDGET,
              variable_limit=VARIABLE_LIMIT):
-    """Reduced Groebner basis of the ideal the generators span.
-
-    The ring's own monomial order is used unless ``order`` names another
-    one, in which case the polynomials are transported into a fresh ring
-    first.  Raises BudgetExceeded when the pair cap is hit and
+    """Reduced Groebner basis, in degrevlex, of the ideal the generators
+    span.  Raises BudgetExceeded when the pair cap is hit and
     BadParameters when the ring exceeds the variable bound.
     """
     gens = list(generators)
@@ -518,9 +513,6 @@ def groebner(generators, order=None, pair_budget=PAIR_BUDGET,
     for g in gens:
         if g.ring is not ring:
             raise AmbientMismatch("generators over different rings")
-    if order is not None and order != ring.order:
-        ring = PolynomialRing(ring.base, ring.names, order)
-        gens = [MultiPoly(ring, dict(g.terms), clean=False) for g in gens]
     if ring.nvars > variable_limit:
         raise BadParameters(
             f"{ring.nvars} variables exceeds the bound {variable_limit}")
@@ -669,7 +661,7 @@ def substitution_check(s, r=None, base=None, pair_budget=PAIR_BUDGET):
     names = (_grid_names("x", q, sp) + _grid_names("y", q, sp)
              + _grid_names("z", sp, sp) + _grid_names("s", sp, sp)
              + _grid_names("t", sp, sp) + _grid_names("w", sp, sp) + ["pi"])
-    ring = PolynomialRing(base, names, "degrevlex")
+    ring = PolynomialRing(base, names)
 
     Z = _var_matrix(ring, "z", sp, sp)
     S = _var_matrix(ring, "s", sp, sp)

@@ -360,7 +360,7 @@ def _run_schubert(cfg):
     z_points = passed = 0
     phi_failures = []
     for point, label in labeled:
-        first, cell = _shifted_cell(point, "pimodular")
+        first, cell = _shifted_cell(point)
         fiber.append((point.s, label, cell))
         if label.l != cfg.s:
             continue
@@ -370,7 +370,7 @@ def _run_schubert(cfg):
             passed += 1
         elif len(phi_failures) < CERTIFICATE_CAP:
             phi_failures.append(image.to_json_dict())
-    tau = _fiber_report(fiber, "pimodular", exhaustive, cfg.s)
+    tau = _fiber_report(fiber, exhaustive, cfg.s)
     failures = len(tau.problems) + z_points - passed
     body = {
         "tau": tau.to_json_dict(),

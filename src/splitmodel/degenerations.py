@@ -97,10 +97,6 @@ class ClosurePoset:
         return f"ClosurePoset(s={self.s}, {len(self.labels)} labels)"
 
 
-def closure_poset(s: int) -> ClosurePoset:
-    return ClosurePoset(s)
-
-
 def admissible_generization_pairs(s: int):
     """All (source, target) label pairs a one-parameter family can connect:
     the target must dominate, i.e. source.h <= target.h <= target.l <=
@@ -360,7 +356,7 @@ def nonsmooth_witness(n: int, s: int, label, order: int = 3) -> WitnessRecord:
     # read the obstruction one order deeper
     S = SeriesRing(base, "eps", order)
     frameS = build_frame(n, ring=S)
-    T = normal_form_gram(h, l, s, n, "general", ring=S).matrix
+    T = normal_form_gram(h, l, s, n, ring=S)
     f, tf = _ft_basis(S, chart_transform(frameS, T), n)
     eps = S.gen
     i1, i2 = l - 2, l - 1

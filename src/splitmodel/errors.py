@@ -71,7 +71,8 @@ class BudgetExceeded(SplitModelError):
 
 
 class NotInGrassmannian(SplitModelError):
-    """A lattice fails the duality condition of the chosen variant."""
+    """A lattice fails the duality condition dual(L) = u*L of the pi-modular
+    locus."""
 
 
 class UnrecognizedType(SplitModelError):

@@ -1,9 +1,10 @@
 """The standard ambient frame: a rank-2n module with a square-zero operator
 t, a symmetric pairing, and the perfect alternating pairing induced on the
-image of t, together with the block normal forms of that alternating pairing
-used by the chart constructions.  The forms the charts use, like the
-alternating pairing itself, pair every basis vector with one partner by +-1,
-so a chart changes basis by a signed permutation (points.chart_transform).
+image of t, together with the block normal form of that alternating pairing
+in the chart basis of each stratum (normal_form_gram).  That form, like the
+alternating pairing itself, pairs every basis vector with one partner by
++-1, so a chart changes basis by a signed permutation
+(points.chart_transform).
 
 Basis ordering is fixed once and for all:
 
@@ -164,21 +165,6 @@ def orthogonal(frame: Frame, U: Subspace, kind: str = "symmetric") -> Subspace:
 # block normal forms of the alternating pairing in chart bases
 # ---------------------------------------------------------------------------
 
-class NormalFormGram:
-    __slots__ = ("h", "l", "s", "n", "case", "matrix")
-
-    def __init__(self, h, l, s, n, case, matrix):
-        self.h = h
-        self.l = l
-        self.s = s
-        self.n = n
-        self.case = case
-        self.matrix = matrix
-
-    def __repr__(self):
-        return f"NormalFormGram({self.case}, h={self.h}, l={self.l}, s={self.s}, n={self.n})"
-
-
 def _std_skew(ring, size):
     """[[0, I],[-I, 0]] of even size."""
     half = size // 2
@@ -187,56 +173,34 @@ def _std_skew(ring, size):
     return Matrix.block(ring, [[Z, I], [-I, Z]])
 
 
-_CASES = ("eps-stratum", "general", "schubert-selfdual", "schubert-pimodular")
+def normal_form_gram(h: int, l: int, s: int, n: int, ring=None) -> Matrix:
+    """The n x n matrix of the alternating pairing in the chart basis of the
+    (h, l) stratum at G-rank s.
 
-
-def normal_form_gram(h: int, l: int, s: int, n: int, case: str,
-                     ring=None) -> NormalFormGram:
-    """The n x n matrix of the alternating (or, in the selfdual case,
-    symmetric) pairing in the chart basis for the given stratum data.
-
-    The general case pairs the blocks of sizes (h, l-h, s-l, r-l, l-h, h)
-    antidiagonally, with standard skew forms on the middle two.  The
-    eps-stratum case is the general matrix at (h, l) = (0, s);
-    schubert-pimodular is the negated general matrix; schubert-selfdual
-    puts identities in place of the skew blocks.
-
-    Every case checks the h and l passed: 0 <= h <= l <= s <= n/2 and,
-    except for schubert-selfdual, l = s mod 2.  So eps-stratum refuses
-    (1, 2, 3, 8) and (3, 3, 2, 8), although its matrix ignores h and l."""
+    The blocks of sizes (h, l-h, s-l, r-l, l-h, h) pair antidiagonally,
+    with standard skew forms on the middle two; the eps chart uses the
+    form at (h, l) = (0, s).  Raises BadParameters unless
+    0 <= h <= l <= s <= n/2 and l = s mod 2."""
     if ring is None:
         ring = PrimeField(3)
-    if case not in _CASES:
-        raise BadParameters(f"unknown case {case!r}")
     if n % 2 != 0 or n < 4:
         raise BadParameters("n must be even and at least 4")
     r = n - s
     if not (0 <= h <= l <= s <= n // 2):
         raise BadParameters("need 0 <= h <= l <= s <= n/2")
-    if case != "schubert-selfdual":
-        if (l - s) % 2 != 0:
-            raise BadParameters("parity: l and s must agree mod 2")
-    bh, bl = (0, s) if case == "eps-stratum" else (h, l)
-    sizes = [bh, bl - bh, s - bl, r - bl, bl - bh, bh]
+    if (l - s) % 2 != 0:
+        raise BadParameters("parity: l and s must agree mod 2")
+    sizes = [h, l - h, s - l, r - l, l - h, h]
     offs = [sum(sizes[:k]) for k in range(7)]
-    Ih = Matrix.identity(ring, bh)
-    Ilh = Matrix.identity(ring, bl - bh)
-    if case == "schubert-selfdual":
-        blocks = {(0, 5): Ih, (1, 4): Ilh,
-                  (2, 2): Matrix.identity(ring, s - bl),
-                  (3, 3): Matrix.identity(ring, r - bl),
-                  (4, 1): Ilh, (5, 0): Ih}
-    else:
-        blocks = {(0, 5): Ih, (1, 4): Ilh,
-                  (2, 2): _std_skew(ring, s - bl),
-                  (3, 3): _std_skew(ring, r - bl),
-                  (4, 1): -Ilh, (5, 0): -Ih}
+    Ih = Matrix.identity(ring, h)
+    Ilh = Matrix.identity(ring, l - h)
+    blocks = {(0, 5): Ih, (1, 4): Ilh,
+              (2, 2): _std_skew(ring, s - l),
+              (3, 3): _std_skew(ring, r - l),
+              (4, 1): -Ilh, (5, 0): -Ih}
     data = [[ring.zero] * n for _ in range(n)]
     for (bi, bj), blk in blocks.items():
         for i in range(sizes[bi]):
             for j in range(sizes[bj]):
                 data[offs[bi] + i][offs[bj] + j] = blk.data[i][j]
-    T = Matrix(ring, data, coerce=False)
-    if case == "schubert-pimodular":
-        T = -T
-    return NormalFormGram(h, l, s, n, case, T)
+    return Matrix(ring, data, coerce=False)

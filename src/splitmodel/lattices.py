@@ -1,11 +1,12 @@
 """u-adic lattices: the point-to-lattice transfer and its pair test.
 
-The comparison side of the package.  A validated special-fiber point goes
-to a pair of lattices in F_q(u)^n, and the pair is checked against the
-four-condition two-lattice test and the cell of its first lattice against
-the point's (h, l) label; the fiber bookkeeping matches cells against
-labels over a whole batch.  Coweight labels, their chains and the cell
-dimensions describe the cells.
+The comparison side of the package.  The rank n is even and the level is
+the stabilizer of the pi-modular lattice lam, the only case the paper
+treats.  A validated special-fiber point goes to a pair of lattices in
+F_q(u)^n, and the pair is checked against the four-condition two-lattice
+test and the cell of its first lattice against the point's (h, l) label;
+the fiber bookkeeping matches cells against labels over a whole batch.
+Coweight labels, their chains and the cell dimensions describe the cells.
 
 The transfer runs on window lattices.  A lattice L between u^2*lam and
 u^-2*lam, lam = standard_lattice(n, n/2) with columns lam_j, is the full
@@ -27,8 +28,8 @@ A LaurentLattice is the canonical k(u) form of a lattice (a column Hermite
 form, so equality is matrix comparison).  It is built only for output: the
 pair phi_map returns and failure certificates, whose profile text is the
 elementary-divisor type of lattice_type.  The k(u) duals, shifts,
-containment, cells and pair test, in both rank parities, are the tests'
-oracle (tests/ku_lattices.py).  No arithmetic is truncated.
+containment, cells and pair test are the tests' oracle
+(tests/ku_lattices.py).  No arithmetic is truncated.
 """
 
 from __future__ import annotations
@@ -39,19 +40,6 @@ from .errors import (AmbientMismatch, BadParameters, ConstructionFailed,
 from .linalg import Matrix, Subspace, inverse, smith_form_local
 from .points import ModelPoint, invariants
 from .rings import FunctionField, PrimeField
-
-VARIANTS = ("selfdual", "pimodular")
-
-
-def _check_variant(variant: str, n: int = None):
-    if variant not in VARIANTS:
-        raise BadParameters(f"unknown variant {variant!r}")
-    if n is not None:
-        if variant == "pimodular" and n % 2 != 0:
-            raise BadParameters("the pimodular variant needs even rank")
-        if variant == "selfdual" and n % 2 == 0:
-            raise BadParameters("the selfdual variant needs odd rank")
-
 
 def laurent_text(x) -> str:
     """Canonical string form of a Laurent polynomial: terms in descending
@@ -197,10 +185,11 @@ def standard_lattice(field: FunctionField, n: int, index: int) -> LaurentLattice
 
 
 def base_lattice(field: FunctionField, n: int, variant: str) -> LaurentLattice:
-    """The reference lattice of each variant: half-shifted for even rank,
-    integral for odd rank."""
-    _check_variant(variant, n)
-    return standard_lattice(field, n, n // 2 if variant == "pimodular" else 0)
+    """The pi-modular reference lattice of even rank n, half-shifted.  The
+    only variant is "pimodular"; any other, or an odd n, is refused."""
+    if variant != "pimodular" or n % 2 != 0:
+        raise BadParameters("the base lattice is pimodular of even rank")
+    return standard_lattice(field, n, n // 2)
 
 
 def lattice_type(L: LaurentLattice, base: LaurentLattice):
@@ -288,17 +277,17 @@ class WindowLattice(Subspace):
 # ---------------------------------------------------------------------------
 
 class CoweightLabel:
-    """Minuscule-chain coweight: index i within rank n, with the type
+    """Minuscule-chain coweight: index i within even rank n, with the type
     vector (1 repeated i, 0 repeated n-2i, -1 repeated i)."""
 
-    __slots__ = ("index", "variant", "n")
+    __slots__ = ("index", "n")
 
-    def __init__(self, index: int, variant: str, n: int):
-        _check_variant(variant, n)
+    def __init__(self, index: int, n: int):
+        if n % 2 != 0:
+            raise BadParameters("coweights are labelled in even rank")
         if not 0 <= index <= n // 2:
             raise BadParameters("coweight index must lie between 0 and n//2")
         self.index = index
-        self.variant = variant
         self.n = n
 
     def type_vector(self):
@@ -307,27 +296,21 @@ class CoweightLabel:
 
     def __eq__(self, other):
         return (isinstance(other, CoweightLabel) and other.index == self.index
-                and other.variant == self.variant and other.n == self.n)
+                and other.n == self.n)
 
     def __hash__(self):
-        return hash((self.index, self.variant, self.n))
+        return hash((self.index, self.n))
 
     def __repr__(self):
-        return f"CoweightLabel({self.index}, {self.variant!r}, n={self.n})"
+        return f"CoweightLabel({self.index}, n={self.n})"
 
 
-def admissible_set(variant: str, s: int, m: int):
-    """The descending coweight chain for signature parameter s.
-
-    Odd-rank chains step by one down to index 0; even-rank chains step by
-    two and end at index 1 or 0 according to the parity of s.
-    """
-    _check_variant(variant)
+def admissible_set(s: int, m: int):
+    """The descending coweight chain in rank 2m for signature parameter s:
+    steps of two, ending at index 1 or 0 according to the parity of s."""
     if not 0 <= s <= m:
         raise BadParameters("need 0 <= s <= m")
-    n = 2 * m if variant == "pimodular" else 2 * m + 1
-    step = 2 if variant == "pimodular" else 1
-    return [CoweightLabel(i, variant, n) for i in range(s, -1, -step)]
+    return [CoweightLabel(i, 2 * m) for i in range(s, -1, -2)]
 
 
 def schubert_dimension(i: int, n: int) -> int:
@@ -362,10 +345,9 @@ def _coweight_index(t) -> int:
 class DemazureReport:
     """Outcome of the four printed conditions on a lattice pair."""
 
-    __slots__ = ("variant", "index", "conditions", "details")
+    __slots__ = ("index", "conditions", "details")
 
-    def __init__(self, variant, index, conditions, details):
-        self.variant = variant
+    def __init__(self, index, conditions, details):
         self.index = index
         self.conditions = tuple(conditions)
         self.details = tuple(details)
@@ -376,7 +358,7 @@ class DemazureReport:
 
     def to_json_dict(self):
         return {
-            "variant": self.variant,
+            "variant": "pimodular",
             "index": self.index,
             "conditions": list(self.conditions),
             "details": list(self.details),
@@ -421,7 +403,7 @@ def _pair_test(L: WindowLattice, Lp: WindowLattice, lam: WindowLattice,
 
     c3, d3 = _free_quotient(lam, Lp, i)
     c4, d4 = _free_quotient(L, Lp, i)
-    return DemazureReport("pimodular", i, (c1, c2, c3, c4), (d1, d2, d3, d4))
+    return DemazureReport(i, (c1, c2, c3, c4), (d1, d2, d3, d4))
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +489,23 @@ class PhiImage:
                 f"ok={self.ok})")
 
 
-def phi_map(point: ModelPoint, variant: str = "pimodular") -> PhiImage:
+def phi_map(point: ModelPoint) -> PhiImage:
     """Send a validated point with full self-pairing kernel to its lattice
     pair and verify the pair test at index s plus the commuting square
     (cell index of the first lattice equals the point's h).
 
-    Raises NotInZ when the kernel is smaller than s.  Only the even-rank
-    variant is wired to special-fiber points.
+    Raises NotInZ when the kernel is smaller than s.
     """
-    if variant != "pimodular":
-        _check_variant(variant)
-        raise BadParameters(
-            "only the even-rank variant transfers special-fiber points")
     label = invariants(point)
     if label.l != point.s:
         raise NotInZ(f"self-pairing kernel has dimension {label.l}, "
                      f"not {point.s}")
-    return _phi_image(point, label, *_shifted_cell(point, variant))
+    return _phi_image(point, label, *_shifted_cell(point))
 
 
-def _shifted_cell(point: ModelPoint, variant: str):
+def _shifted_cell(point: ModelPoint):
     """(first, cell): the window F-lattice of a validated point scaled by
     u^-1, and its cell index, the data tau_fiber_check and phi_map share."""
-    _check_variant(variant, point.frame.n)
     first = window_from_point(point.F_rows, point.frame).shifted(-1)
     return first, _window_cell(first)
 
@@ -553,11 +529,10 @@ class TauFiberReport:
     """Cells seen across a batch of points, the labels each cell carries,
     and any mismatches against the expected fiber structure."""
 
-    __slots__ = ("s", "variant", "exhaustive", "cells", "counts", "problems")
+    __slots__ = ("s", "exhaustive", "cells", "counts", "problems")
 
-    def __init__(self, s, variant, exhaustive, cells, counts, problems):
+    def __init__(self, s, exhaustive, cells, counts, problems):
         self.s = s
-        self.variant = variant
         self.exhaustive = exhaustive
         self.cells = cells
         self.counts = counts
@@ -570,7 +545,7 @@ class TauFiberReport:
     def to_json_dict(self):
         return {
             "s": self.s,
-            "variant": self.variant,
+            "variant": "pimodular",
             "exhaustive": self.exhaustive,
             "cells": [{"cell": k,
                        "labels": [{"h": h, "l": l}
@@ -586,8 +561,8 @@ class TauFiberReport:
         return f"TauFiberReport({{{body}}}, ok={self.ok})"
 
 
-def tau_fiber_check(points, variant: str = "pimodular",
-                    exhaustive: bool = True, s: int = None) -> TauFiberReport:
+def tau_fiber_check(points, *, exhaustive: bool = True,
+                    s: int = None) -> TauFiberReport:
     """Group validated points by the cell of the shifted F-lattice and
     check the fiber structure.
 
@@ -595,13 +570,11 @@ def tau_fiber_check(points, variant: str = "pimodular",
     cell index.  In exhaustive mode the l-values seen in cell k must be
     exactly the values between k and s with the parity of s.
     """
-    _check_variant(variant)
-    return _fiber_report(((p.s, invariants(p), _shifted_cell(p, variant)[1])
-                          for p in points), variant, exhaustive, s)
+    return _fiber_report(((p.s, invariants(p), _shifted_cell(p)[1])
+                          for p in points), exhaustive, s)
 
 
-def _fiber_report(rows, variant: str, exhaustive: bool,
-                  s: int = None) -> TauFiberReport:
+def _fiber_report(rows, exhaustive: bool, s: int = None) -> TauFiberReport:
     """tau_fiber_check from (G-rank, label, cell) rows, one per point."""
     cells = {}
     counts = {}
@@ -625,4 +598,4 @@ def _fiber_report(rows, variant: str, exhaustive: bool,
                 problems.append(
                     f"cell {k} carries l-values {sorted(got)}, "
                     f"expected {sorted(expected)}")
-    return TauFiberReport(s, variant, exhaustive, cells, counts, problems)
+    return TauFiberReport(s, exhaustive, cells, counts, problems)

@@ -403,8 +403,7 @@ def chart_point_general(n: int, s: int, h: int, l: int, Y2=None, Z=None,
         raise RelationViolated("(Y2 - Y2^t) Z must vanish")
 
     frame = build_frame(n, ring=ring)
-    C = chart_transform(frame, normal_form_gram(h, l, s, n, "general",
-                                                ring=ring).matrix)
+    C = chart_transform(frame, normal_form_gram(h, l, s, n, ring=ring))
     zvec = [ring.zero] * n
     # block offsets for sizes (h, l-h, s-l, r-l, l-h, h)
     off1 = h
@@ -483,8 +482,7 @@ def chart_point_local(n: int, s: int, X=None, Y=None, Z=None, A=None, B=None,
         raise RelationViolated("(Z - Z^t + X^t Y - Y^t X) B must equal 2 pi A")
 
     frame = build_frame(n, ring=ring, pi=pi)
-    C = chart_transform(frame, normal_form_gram(s, s, s, n, "eps-stratum",
-                                                ring=ring).matrix)
+    C = chart_transform(frame, normal_form_gram(0, s, s, n, ring=ring))
 
     def m_col(j):
         v = [ring.zero] * n

@@ -6,7 +6,7 @@ Everything downstream computes over one of the rings defined here:
 * ``FunctionField(k, v)``  -- rational functions k(v) in canonical form,
 * ``SeriesRing(k, v, N)``  -- truncated power series k[v]/(v^N),
 * ``DualNumbers(k)``       -- k[eps]/(eps^2), a SeriesRing with N = 2,
-* ``PolynomialRing(k, names, order)`` -- sparse multivariate polynomials.
+* ``PolynomialRing(k, names)`` -- sparse multivariate polynomials, degrevlex.
 
 All arithmetic is exact; nothing here floats.  Elements are immutable and
 hashable, and equality is structural, which the canonical forms make sound.
@@ -938,22 +938,15 @@ class DualNumbers(SeriesRing):
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _key_lex(exps):
-    return exps
-
-
 def _key_degrevlex(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-_ORDER_KEYS = {"lex": _key_lex, "degrevlex": _key_degrevlex}
 
 
 class MultiPoly:
     """Sparse multivariate polynomial over a PrimeField.
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  The monomial
-    order lives on the ring and drives leading-term extraction.
+    ``terms`` maps exponent tuples to nonzero coefficients.  Leading terms
+    are taken in degrevlex.
     """
 
     __slots__ = ("ring", "terms")
@@ -1048,8 +1041,7 @@ class MultiPoly:
     def lead_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        key = self.ring.order_key
-        return max(self.terms, key=key)
+        return max(self.terms, key=_key_degrevlex)
 
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
@@ -1109,9 +1101,8 @@ class MultiPoly:
         coefficient*var^k product with literal * and ^."""
         if not self.terms:
             return "0"
-        key = self.ring.order_key
         parts = []
-        for exps in sorted(self.terms, key=key, reverse=True):
+        for exps in sorted(self.terms, key=_key_degrevlex, reverse=True):
             c = self.terms[exps]
             factors = [repr(c)]
             for name, e in zip(self.ring.names, exps):
@@ -1124,28 +1115,24 @@ class MultiPoly:
 
 
 class PolynomialRing:
-    """k[x_1, ..., x_m] with a fixed monomial order ('degrevlex' or 'lex').
+    """k[x_1, ..., x_m] ordered by degrevlex, earlier names larger.
 
-    Cached by (base, names, order) so that equal constructions hand back
-    the identical ring object, like the other ring classes here.
+    Cached by (base, names) so that equal constructions hand back the
+    identical ring object, like the other ring classes here.
     """
 
     _cache: dict = {}
 
-    def __new__(cls, base: PrimeField, names, order: str = "degrevlex"):
-        return _interned(cls, (id(base), tuple(names), order))
+    def __new__(cls, base: PrimeField, names):
+        return _interned(cls, (id(base), tuple(names)))
 
-    def __init__(self, base: PrimeField, names, order: str = "degrevlex"):
+    def __init__(self, base: PrimeField, names):
         if getattr(self, "_ready", False):
             return
-        if order not in _ORDER_KEYS:
-            raise BadParameters(f"unknown monomial order {order!r}")
         self.base = base
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise BadParameters("duplicate variable names")
-        self.order = order
-        self.order_key = _ORDER_KEYS[order]
         self.nvars = len(self.names)
         self.char = base.char
         self.is_field = False
@@ -1188,23 +1175,4 @@ class PolynomialRing:
         return MultiPoly(self, {tuple(exps): c}, clean=False)
 
     def __repr__(self):
-        return f"PolynomialRing(F_{self.base.q}, {self.names}, {self.order!r})"
-
-
-# ---------------------------------------------------------------------------
-# free functions named by the public contract
-# ---------------------------------------------------------------------------
-
-def invert(x):
-    """Multiplicative inverse; raises NotInvertible for non-units."""
-    return x.inverse()
-
-
-def u_valuation(x):
-    """Valuation at the distinguished variable (INF on zero)."""
-    return x.valuation()
-
-
-def sigma_twist(x):
-    """The involution sending the distinguished variable v to -v."""
-    return x.sigma()
+        return f"PolynomialRing(F_{self.base.q}, {self.names}, 'degrevlex')"

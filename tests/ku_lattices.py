@@ -9,8 +9,9 @@ generator matrices, written independently of the window: scaling and
 shifts, the two duals, containment by the elementary-divisor profile, the
 cell of a lattice on the duality locus and closure membership, the
 coweight translates of the base lattice, the free-quotient test and the
-four-condition pair test, in both rank parities, and seeded random
-lattices and unit matrices for property checks.  ``tests/test_lattices.py``,
+four-condition pair test, all in even rank around the pi-modular base
+lattice as in the package, and seeded random lattices and unit matrices
+for property checks.  ``tests/test_lattices.py``,
 ``tests/test_window.py``, criterion 09 of ``tests/test_acceptance.py`` and
 the Smith-form test of ``tests/test_linalg.py`` import it.
 """
@@ -19,8 +20,7 @@ from splitmodel.errors import (AmbientMismatch, BadParameters,
                                NotInGrassmannian)
 from splitmodel.frame import _h_antidiag
 from splitmodel.lattices import (DemazureReport, LaurentLattice,
-                                 _check_variant, _coweight_index,
-                                 base_lattice, lattice_type)
+                                 _coweight_index, base_lattice, lattice_type)
 from splitmodel.linalg import Matrix, inverse
 from splitmodel.rings import FunctionField
 
@@ -90,43 +90,38 @@ def is_u_integral(M: Matrix) -> bool:
 def representative(label, field: FunctionField) -> Matrix:
     """Diagonal matrix translating the base lattice into the cell of a
     CoweightLabel."""
-    i, m = label.index, label.n // 2
+    i = label.index
     u = field.monomial(1)
     uinv_neg = field.monomial(-1, -1)
-    entries = [u] * i + [field.one] * (m - i)
-    if label.n % 2 == 1:
-        entries.append(field.coerce(-1) if i % 2 == 1 else field.one)
-    entries += [field.one] * (m - i) + [uinv_neg] * i
+    entries = [u] * i + [field.one] * (label.n - 2 * i) + [uinv_neg] * i
     return Matrix.diagonal(field, entries)
 
 
 def translated_base(label, field: FunctionField) -> LaurentLattice:
-    base = base_lattice(field, label.n, label.variant)
+    base = base_lattice(field, label.n, "pimodular")
     return LaurentLattice(field, representative(label, field) * base.matrix)
 
 
-def schubert_cell(L: LaurentLattice, variant: str) -> int:
-    """The unique cell index of a lattice on the variant's duality locus.
+def schubert_cell(L: LaurentLattice) -> int:
+    """The unique cell index of a lattice on the duality locus dual(L) = u*L.
 
     Raises NotInGrassmannian when the duality fails and UnrecognizedType
     when the relative type is not a coweight type vector.
     """
-    _check_variant(variant, L.n)
-    target = shifted(L, 1) if variant == "pimodular" else L
-    if lattice_dual(L) != target:
+    if lattice_dual(L) != shifted(L, 1):
         raise NotInGrassmannian("lattice does not satisfy the duality relation")
-    return _coweight_index(lattice_type(L, base_lattice(L.ring, L.n, variant)))
+    return _coweight_index(lattice_type(L, base_lattice(L.ring, L.n,
+                                                        "pimodular")))
 
 
-def in_closure(k: int, i: int, variant: str) -> bool:
+def in_closure(k: int, i: int) -> bool:
     """Whether cell k lies in the closure of cell i."""
-    return k <= i and (variant == "selfdual" or (i - k) % 2 == 0)
+    return k <= i and (i - k) % 2 == 0
 
 
-def in_schubert_variety(L: LaurentLattice, i: int, variant: str) -> bool:
-    """Closure membership: cell index at most i, and matching parity in the
-    even-rank variant."""
-    return in_closure(schubert_cell(L, variant), i, variant)
+def in_schubert_variety(L: LaurentLattice, i: int) -> bool:
+    """Closure membership: cell index at most i, and of the same parity."""
+    return in_closure(schubert_cell(L), i)
 
 
 # ---------------------------------------------------------------------------
@@ -142,41 +137,31 @@ def free_quotient(outer: LaurentLattice, inner: LaurentLattice, rank: int):
     return prof == want, f"profile {tuple(prof)} vs expected {tuple(want)}"
 
 
-def demazure_membership(L: LaurentLattice, Lp: LaurentLattice, i: int,
-                        variant: str) -> DemazureReport:
-    """Check the four conditions of the two-lattice description at index i.
-
-    Even-rank variant: (1) L lies in the closure of cell i; (2) Lp sits
-    under its shifted dual with a rank-2i quotient, inside the shifted Lp;
-    (3) Lp under the base lattice with rank-i quotient; (4) Lp under L with
-    rank-i quotient.  Odd-rank variant: (2) expects rank n-2i and the
-    inclusions of (3) and (4) run the other way.
+def demazure_membership(L: LaurentLattice, Lp: LaurentLattice,
+                        i: int) -> DemazureReport:
+    """Check the four conditions of the two-lattice description at index i:
+    (1) L lies in the closure of cell i; (2) Lp sits under its shifted dual
+    with a rank-2i quotient, inside the shifted Lp; (3) Lp under the base
+    lattice with rank-i quotient; (4) Lp under L with rank-i quotient.
     """
-    _check_variant(variant, L.n)
     if Lp.ring is not L.ring or Lp.n != L.n:
         raise AmbientMismatch("lattice pair must share field and rank")
     if not 0 <= i <= L.n // 2:
         raise BadParameters("index out of range for the pair test")
-    lam = base_lattice(L.ring, L.n, variant)
-    c1 = in_closure(schubert_cell(L, variant), i, variant)
+    lam = base_lattice(L.ring, L.n, "pimodular")
+    c1 = in_closure(schubert_cell(L), i)
     d1 = f"cell closure at index {i}"
 
     dual = shifted_dual(Lp)
-    rank2 = 2 * i if variant == "pimodular" else L.n - 2 * i
-    inner_ok, d2 = free_quotient(dual, Lp, rank2)
+    inner_ok, d2 = free_quotient(dual, Lp, 2 * i)
     dual_inside = lattice_contains(shifted(Lp, -1), dual)
     c2 = inner_ok and dual_inside
     if not dual_inside:
         d2 += "; shifted dual escapes the shifted lattice"
 
-    if variant == "pimodular":
-        c3, d3 = free_quotient(lam, Lp, i)
-        c4, d4 = free_quotient(L, Lp, i)
-    else:
-        c3, d3 = free_quotient(Lp, lam, i)
-        c4, d4 = free_quotient(Lp, L, i)
-
-    return DemazureReport(variant, i, (c1, c2, c3, c4), (d1, d2, d3, d4))
+    c3, d3 = free_quotient(lam, Lp, i)
+    c4, d4 = free_quotient(L, Lp, i)
+    return DemazureReport(i, (c1, c2, c3, c4), (d1, d2, d3, d4))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +172,6 @@ def random_window_lattice(field: FunctionField, n: int, rng,
                           degree: int = 2) -> LaurentLattice:
     """Random lattice between the shifted-down and shifted-up copies of the
     even-rank base lattice: contains u*base and lies in u^-1*base."""
-    if n % 2 != 0:
-        raise BadParameters("the window is built around the even-rank base")
     base = base_lattice(field, n, "pimodular")
     rand = Matrix(field, [[field.random_poly(rng, degree) for _ in range(n)]
                           for _ in range(n)], coerce=False)

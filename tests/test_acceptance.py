@@ -219,7 +219,7 @@ def test_criterion_09_schubert_comparison():
         # the component lattice repeats under both shifted duals
         assert LF == scaled(lattice_dual(LF), u)
         assert LF == scaled(lattice_dual(LF, "symmetric-trace"), u_sq)
-        assert schubert_cell(scaled(LF, u_inv), "pimodular") == label.h
+        assert schubert_cell(scaled(LF, u_inv)) == label.h
         points.append((point, label))
     assert len(points) == 250
     tau = tau_fiber_check([p for p, _ in points], exhaustive=True)

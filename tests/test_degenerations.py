@@ -9,7 +9,6 @@ from splitmodel.degenerations import (
     LiftRecord,
     WitnessRecord,
     admissible_generization_pairs,
-    closure_poset,
     generization_lift,
     nonsmooth_witness,
 )
@@ -18,13 +17,13 @@ from splitmodel.points import StratumLabel, census, stratum_dimension
 
 
 def test_poset_labels_and_extremes():
-    p2 = closure_poset(2)
+    p2 = ClosurePoset(2)
     assert p2.labels == (StratumLabel(0, 0), StratumLabel(0, 2),
                          StratumLabel(2, 2))
     assert set(p2.maximal()) == {StratumLabel(0, 0), StratumLabel(2, 2)}
     assert p2.minimal() == StratumLabel(0, 2)
 
-    p3 = closure_poset(3)
+    p3 = ClosurePoset(3)
     assert p3.labels == (StratumLabel(1, 1), StratumLabel(1, 3),
                          StratumLabel(3, 3))
     assert set(p3.maximal()) == {StratumLabel(1, 1), StratumLabel(3, 3)}
@@ -33,7 +32,7 @@ def test_poset_labels_and_extremes():
 
 def test_poset_is_a_partial_order():
     for s in range(0, 9):
-        p = closure_poset(s)
+        p = ClosurePoset(s)
         labels = p.labels
         # parity and range of every label
         for (h, l) in labels:
@@ -51,7 +50,7 @@ def test_poset_is_a_partial_order():
 
 def test_poset_maximal_count_and_note():
     for s in range(1, 9):
-        p = closure_poset(s)
+        p = ClosurePoset(s)
         expected = s // 2 + 1 if s % 2 == 0 else (s + 1) // 2
         assert p.component_count() == expected
         assert {lab for lab in p.maximal()} == {
@@ -61,7 +60,7 @@ def test_poset_maximal_count_and_note():
             assert note is not None and "discrepancy" in note
         else:
             assert note is None
-    d = closure_poset(4).to_json_dict()
+    d = ClosurePoset(4).to_json_dict()
     assert d["component_count"] == 3
     assert d["component_count_note"] is not None
     json.dumps(d)
@@ -69,7 +68,7 @@ def test_poset_maximal_count_and_note():
 
 def test_dimension_strictly_increases_along_the_order():
     for s in (2, 3, 4):
-        p = closure_poset(s)
+        p = ClosurePoset(s)
         r = s + 2
         for a in p.labels:
             for b in p.labels:
@@ -80,11 +79,11 @@ def test_dimension_strictly_increases_along_the_order():
 
 def test_poset_matches_exhaustive_census():
     found = census(4, 2, 3, strategy="exhaustive").labels()
-    assert found == set(closure_poset(2).labels)
+    assert found == set(ClosurePoset(2).labels)
 
 
 def test_closure_sets():
-    p = closure_poset(4)
+    p = ClosurePoset(4)
     assert p.closure(StratumLabel(0, 0)) == {StratumLabel(0, 0),
                                              StratumLabel(0, 2),
                                              StratumLabel(0, 4)}

@@ -146,8 +146,9 @@ def test_symmetric_orthogonal_dimension():
 
 
 def test_normal_form_eps_stratum_display():
-    # s = 2, n = 8: blocks (s, q, q, s) = (2, 2, 2, 2)
-    nf = normal_form_gram(2, 2, 2, 8, "eps-stratum")
+    # s = 2, n = 8: the eps chart's form at (h, l) = (0, s) has blocks
+    # (s, q, q, s) = (2, 2, 2, 2)
+    nf = normal_form_gram(0, 2, 2, 8)
     o, z = F3.one, F3.zero
     expected = Matrix(F3, [
         [z, z, z, z, z, z, o, z],
@@ -159,13 +160,13 @@ def test_normal_form_eps_stratum_display():
         [-o, z, z, z, z, z, z, z],
         [z, -o, z, z, z, z, z, z],
     ], coerce=False)
-    assert nf.matrix == expected
+    assert nf == expected
 
 
 def test_normal_form_schubert_pimodular_display():
     # (h, l, s, n) = (1, 3, 3, 8): blocks (h, l-h, s-l, r-l, l-h, h) =
     # (1, 2, 0, 2, 2, 1), every block the negative of the general one
-    nf = normal_form_gram(1, 3, 3, 8, "schubert-pimodular")
+    nf = -normal_form_gram(1, 3, 3, 8)
     o, z = F3.one, F3.zero
     expected = Matrix(F3, [
         [z, z, z, z, z, z, z, -o],
@@ -177,14 +178,13 @@ def test_normal_form_schubert_pimodular_display():
         [z, z, o, z, z, z, z, z],
         [o, z, z, z, z, z, z, z],
     ], coerce=False)
-    assert nf.matrix == expected
+    assert nf == expected
 
 
 def test_normal_form_general_h0_l0():
     # (h,l) = (0,0): block-diagonal with skew blocks of sizes s and r
     n, s = 8, 2
-    nf = normal_form_gram(0, 0, s, n, "general")
-    M = nf.matrix
+    M = normal_form_gram(0, 0, s, n)
     # top-left s x s block is [[0,1],[-1,0]]
     assert M.submatrix(range(2), range(2)) == Matrix(F3, [[0, 1], [-1, 0]])
     # off-diagonal coupling blocks vanish
@@ -193,30 +193,23 @@ def test_normal_form_general_h0_l0():
 
 
 def test_normal_form_skewness_all_pimodular_cases():
-    for case in ("eps-stratum", "general", "schubert-pimodular"):
-        for (n, s) in ((6, 2), (8, 3), (8, 4)):
-            for h in range(s % 2, s + 1, 2):
-                for l in range(h, s + 1, 2):
-                    T = normal_form_gram(h, l, s, n, case).matrix
-                    assert (T + T.transpose()).is_zero(), (case, n, s, h, l)
-                    assert not det(T).is_zero()
-
-
-def test_normal_form_selfdual_symmetric():
-    T = normal_form_gram(1, 2, 3, 8, "schubert-selfdual").matrix
-    assert T == T.transpose()
-    assert not det(T).is_zero()
+    for (n, s) in ((6, 2), (8, 3), (8, 4)):
+        for h in range(s % 2, s + 1, 2):
+            for l in range(h, s + 1, 2):
+                T = normal_form_gram(h, l, s, n)
+                # the chart form, its negative and the eps chart's form
+                for M in (T, -T, normal_form_gram(0, s, s, n)):
+                    assert (M + M.transpose()).is_zero(), (n, s, h, l)
+                    assert not det(M).is_zero()
 
 
 def test_normal_form_bad_parameters():
     with pytest.raises(BadParameters):
-        normal_form_gram(1, 0, 2, 8, "general")  # h > l
+        normal_form_gram(1, 0, 2, 8)  # h > l
     with pytest.raises(BadParameters):
-        normal_form_gram(0, 1, 2, 8, "general")  # parity broken
+        normal_form_gram(0, 1, 2, 8)  # parity broken
     with pytest.raises(BadParameters):
-        normal_form_gram(0, 0, 2, 8, "no-such-case")
-    with pytest.raises(BadParameters):
-        normal_form_gram(0, 0, 5, 8, "general")  # s > n/2
+        normal_form_gram(0, 0, 5, 8)  # s > n/2
 
 
 def rand_skew_nondeg(field, rng, n):
@@ -310,15 +303,13 @@ def test_congruence_transform_roundtrip():
 
 
 def chart_normal_forms(n):
-    """(case, h, l, s) for each general and eps-stratum normal form that
-    normal_form_gram builds at size n: every 0 <= h <= l <= s <= n/2 with
-    l = s mod 2, and the eps-stratum form once per s, since it does not
-    depend on h and l.  The charts use a subset of these."""
+    """(h, l, s) for each normal form that normal_form_gram builds at size
+    n: every 0 <= h <= l <= s <= n/2 with l = s mod 2, the eps chart's
+    (0, s, s) among them.  The charts use a subset of these."""
     for s in range(n // 2 + 1):
         for l in range(s % 2, s + 1, 2):
             for h in range(l + 1):
-                yield "general", h, l, s
-        yield "eps-stratum", s, s, s
+                yield h, l, s
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -326,22 +317,21 @@ def test_chart_transform_matches_gram_schmidt_reference(q):
     field = PrimeField(q)
     for n in range(4, 13, 2):
         frame = build_frame(n, ring=field)
-        for case, h, l, s in chart_normal_forms(n):
-            T = normal_form_gram(h, l, s, n, case, ring=field).matrix
+        for h, l, s in chart_normal_forms(n):
+            T = normal_form_gram(h, l, s, n, ring=field)
             C = chart_transform(frame, T)
-            assert C == congruence_transform(frame.gram_mod, T), (n, case, h, l, s)
+            assert C == congruence_transform(frame.gram_mod, T), (n, h, l, s)
             assert C.transpose() * frame.gram_mod * C == T
 
 
 def test_chart_transform_carries_the_signs_of_the_form():
     # the chart forms pair each index with a later partner by +1, so C is
-    # a permutation there; the negated (schubert-pimodular) forms need -1s
+    # a permutation there; their negatives need -1s
     for n in (4, 6, 8):
         frame = build_frame(n, ring=F5)
         for s in range(n // 2 + 1):
             for l in range(s % 2, s + 1, 2):
-                T = normal_form_gram(0, l, s, n, "schubert-pimodular",
-                                     ring=F5).matrix
+                T = -normal_form_gram(0, l, s, n, ring=F5)
                 C = chart_transform(frame, T)
                 assert C == congruence_transform(frame.gram_mod, T)
                 assert -F5.one in (x for row in C.data for x in row)

@@ -6,13 +6,13 @@ from splitmodel.errors import (AmbientMismatch, BadParameters, InvalidPoint,
                                NotInGrassmannian, NotInZ, Singular,
                                UnrecognizedType)
 from splitmodel.frame import build_frame
-from splitmodel.lattices import (CoweightLabel, LaurentLattice, admissible_set,
-                                 base_lattice, lattice_from_point,
-                                 lattice_type, laurent_text, phi_map,
-                                 schubert_dimension, standard_lattice,
-                                 tau_fiber_check)
+from splitmodel.lattices import (CoweightLabel, LaurentLattice, _phi_image,
+                                 _shifted_cell, admissible_set, base_lattice,
+                                 lattice_from_point, lattice_type,
+                                 laurent_text, phi_map, schubert_dimension,
+                                 standard_lattice, tau_fiber_check)
 from splitmodel.linalg import Matrix, det, inverse
-from splitmodel.points import (ModelPoint, chart_point_general,
+from splitmodel.points import (ModelPoint, chart_point_general, invariants,
                                iter_validated_points, sample_eps_chart_point,
                                stratum_dimension)
 from splitmodel.rings import FunctionField, PrimeField
@@ -70,7 +70,7 @@ def test_standard_duals_both_forms():
     lam = base_lattice(K, 4, "pimodular")
     assert lattice_dual(lam) == scaled(lam, u)
     assert lattice_dual(lam, "symmetric-trace") == lam
-    lam0 = base_lattice(K, 5, "selfdual")
+    lam0 = standard_lattice(K, 5, 0)
     assert lattice_dual(lam0) == lam0
     assert (lattice_dual(lam0, "symmetric-trace")
             == scaled(lam0, K.monomial(-1)))
@@ -103,11 +103,11 @@ def test_lattice_type_examples():
     u = K.monomial(1)
     lam = base_lattice(K, 4, "pimodular")
     assert lattice_type(lam, lam) == [0, 0, 0, 0]
-    L1 = translated_base(CoweightLabel(1, "pimodular", 4), K)
+    L1 = translated_base(CoweightLabel(1, 4), K)
     assert lattice_type(L1, lam) == [-1, 0, 0, 1]
     assert lattice_type(scaled(lam, u), lam) == [1, 1, 1, 1]
     with pytest.raises(AmbientMismatch):
-        lattice_type(lam, base_lattice(K, 5, "selfdual"))
+        lattice_type(lam, standard_lattice(K, 5, 0))
 
 
 def test_type_invariant_under_unit_columns():
@@ -122,37 +122,29 @@ def test_type_invariant_under_unit_columns():
 
 
 def test_admissible_chains():
-    assert [c.index for c in admissible_set("selfdual", 2, 2)] == [2, 1, 0]
-    assert [c.index for c in admissible_set("pimodular", 2, 2)] == [2, 0]
-    assert [c.index for c in admissible_set("pimodular", 3, 3)] == [3, 1]
-    assert [c.index for c in admissible_set("pimodular", 4, 4)] == [4, 2, 0]
+    assert [c.index for c in admissible_set(2, 2)] == [2, 0]
+    assert [c.index for c in admissible_set(3, 3)] == [3, 1]
+    assert [c.index for c in admissible_set(4, 4)] == [4, 2, 0]
     with pytest.raises(BadParameters):
-        admissible_set("pimodular", 3, 2)
-    with pytest.raises(BadParameters):
-        admissible_set("spinor", 1, 2)
-    lab = CoweightLabel(2, "pimodular", 6)
+        admissible_set(3, 2)
+    lab = CoweightLabel(2, 6)
     assert lab.type_vector() == (1, 1, 0, 0, -1, -1)
     with pytest.raises(BadParameters):
-        CoweightLabel(3, "pimodular", 4)
+        CoweightLabel(3, 4)
     with pytest.raises(BadParameters):
-        CoweightLabel(1, "pimodular", 5)
-    with pytest.raises(BadParameters):
-        CoweightLabel(1, "selfdual", 4)
+        CoweightLabel(1, 5)
 
 
 def test_coweight_representatives():
     K = _field()
-    rep = representative(CoweightLabel(1, "pimodular", 4), K)
+    rep = representative(CoweightLabel(1, 4), K)
     assert [laurent_text(rep.data[i][i]) for i in range(4)] == [
         "1*u", "1", "1", "2*u^-1"]
-    rep5 = representative(CoweightLabel(1, "selfdual", 5), K)
-    assert [laurent_text(rep5.data[i][i]) for i in range(5)] == [
-        "1*u", "1", "2", "1", "2*u^-1"]
-    # translated lattices land on their own type vector, both parities
-    for n, variant in ((4, "pimodular"), (6, "pimodular"), (5, "selfdual")):
-        base = base_lattice(K, n, variant)
+    # translated lattices land on their own type vector
+    for n in (4, 6):
+        base = base_lattice(K, n, "pimodular")
         for i in range(n // 2 + 1):
-            lab = CoweightLabel(i, variant, n)
+            lab = CoweightLabel(i, n)
             got = lattice_type(translated_base(lab, K), base)
             assert got == sorted(lab.type_vector())
 
@@ -160,33 +152,30 @@ def test_coweight_representatives():
 def test_schubert_cell_examples():
     K = _field()
     lam = base_lattice(K, 4, "pimodular")
-    assert schubert_cell(lam, "pimodular") == 0
-    L2 = translated_base(CoweightLabel(2, "pimodular", 4), K)
+    assert schubert_cell(lam) == 0
+    L2 = translated_base(CoweightLabel(2, 4), K)
     assert lattice_type(L2, lam) == [-1, -1, 1, 1]
-    assert schubert_cell(L2, "pimodular") == 2
-    assert schubert_cell(base_lattice(K, 5, "selfdual"), "selfdual") == 0
+    assert schubert_cell(L2) == 2
     with pytest.raises(NotInGrassmannian):
-        schubert_cell(standard_lattice(K, 4, 1), "pimodular")
+        schubert_cell(standard_lattice(K, 4, 1))
     # on the duality locus but with a non-minuscule type
     g = Matrix.diagonal(K, [K.monomial(1), K.monomial(-1), K.one,
                             K.monomial(-2)])
     L = LaurentLattice(K, g)
     assert lattice_dual(L) == scaled(L, K.monomial(1))
     with pytest.raises(UnrecognizedType):
-        schubert_cell(L, "pimodular")
+        schubert_cell(L)
 
 
 def test_variety_membership_parity():
     K = _field()
     lam = base_lattice(K, 4, "pimodular")
-    L2 = translated_base(CoweightLabel(2, "pimodular", 4), K)
-    assert in_schubert_variety(lam, 0, "pimodular")
-    assert in_schubert_variety(lam, 2, "pimodular")
-    assert not in_schubert_variety(lam, 1, "pimodular")
-    assert in_schubert_variety(L2, 2, "pimodular")
-    assert not in_schubert_variety(L2, 1, "pimodular")
-    lam0 = base_lattice(K, 5, "selfdual")
-    assert in_schubert_variety(lam0, 1, "selfdual")
+    L2 = translated_base(CoweightLabel(2, 4), K)
+    assert in_schubert_variety(lam, 0)
+    assert in_schubert_variety(lam, 2)
+    assert not in_schubert_variety(lam, 1)
+    assert in_schubert_variety(L2, 2)
+    assert not in_schubert_variety(L2, 1)
 
 
 def test_schubert_dimensions():
@@ -206,24 +195,19 @@ def test_schubert_dimensions():
 def test_demazure_worked_examples():
     K = _field()
     lam = base_lattice(K, 4, "pimodular")
-    rep = demazure_membership(lam, lam, 0, "pimodular")
+    rep = demazure_membership(lam, lam, 0)
     assert rep.conditions == (True, True, True, True)
     assert rep.ok
-    L1 = translated_base(CoweightLabel(1, "pimodular", 4), K)
-    rep2 = demazure_membership(L1, lam, 0, "pimodular")
+    L1 = translated_base(CoweightLabel(1, 4), K)
+    rep2 = demazure_membership(L1, lam, 0)
     assert rep2.conditions[3] is False
     assert not rep2.ok
     d = rep2.to_json_dict()
     assert d["conditions"][3] is False and d["index"] == 0
     with pytest.raises(AmbientMismatch):
-        demazure_membership(lam, base_lattice(K, 6, "pimodular"), 0,
-                            "pimodular")
+        demazure_membership(lam, base_lattice(K, 6, "pimodular"), 0)
     with pytest.raises(BadParameters):
-        demazure_membership(lam, lam, 5, "pimodular")
-    # odd-rank pair test accepts its own base point at index 0
-    lam0 = base_lattice(K, 5, "selfdual")
-    rep3 = demazure_membership(lam0, lam0, 0, "selfdual")
-    assert rep3.ok
+        demazure_membership(lam, lam, 5)
 
 
 def test_lattice_from_point_examples():
@@ -323,10 +307,32 @@ def test_phi_map_guards():
                                      frame.basis_vector(8)])
     with pytest.raises(NotInZ):
         phi_map(ModelPoint(frame, F_low, G_bad))
-    G_rows = Matrix.from_rows(field, [frame.basis_vector(5),
-                                      frame.basis_vector(6)])
-    with pytest.raises(BadParameters):
-        phi_map(ModelPoint(frame, F_low, G_rows), variant="selfdual")
+
+
+def test_failing_pair_test_certificate():
+    # past the NotInZ guard (l = 0 < s = 2) the pair test fails condition 2,
+    # and the certificate prints the k(u) profile of the failure
+    field = PrimeField(3)
+    frame = build_frame(4, ring=field)
+    F_low = Matrix.from_rows(field, [frame.basis_vector(5 + i)
+                                     for i in range(4)])
+    G_bad = Matrix.from_rows(field, [frame.basis_vector(5),
+                                     frame.basis_vector(8)])
+    point = ModelPoint(frame, F_low, G_bad)
+    image = _phi_image(point, invariants(point), *_shifted_cell(point))
+    assert not image.ok and image.square_ok
+    assert image.to_json_dict()["demazure"] == {
+        "variant": "pimodular",
+        "index": 2,
+        "conditions": [True, False, True, True],
+        "details": [
+            "cell closure at index 2",
+            "profile (0, 0, 2, 2) vs expected (1, 1, 1, 1); "
+            "shifted dual escapes the shifted lattice",
+            "profile (0, 0, 1, 1) vs expected (0, 0, 1, 1)",
+            "profile (0, 0, 1, 1) vs expected (0, 0, 1, 1)",
+        ],
+    }
 
 
 def test_tau_fiber_exhaustive_smallest():
@@ -366,6 +372,9 @@ def test_tau_fiber_sampled_and_problems():
                          chart_point_general(4, 1, 1, 1)])
     with pytest.raises(BadParameters):
         tau_fiber_check([])
+    # exhaustive and s are keyword-only: a stray positional is refused
+    with pytest.raises(TypeError):
+        tau_fiber_check(pts, "pimodular")
 
 
 def test_serialization_and_helpers():
@@ -384,5 +393,9 @@ def test_serialization_and_helpers():
     assert lattice_contains(L, scaled(lam, K.monomial(1)))
     with pytest.raises(BadParameters):
         random_window_lattice(K, 5, rng)
+    with pytest.raises(BadParameters):
+        base_lattice(K, 5, "pimodular")
+    with pytest.raises(BadParameters):
+        base_lattice(K, 4, "selfdual")
     with pytest.raises(BadParameters):
         scaled(lam, K.zero)

@@ -12,7 +12,6 @@ from splitmodel.rings import (
     PrimeField,
     RationalFunction,
     SeriesRing,
-    invert,
     poly_add,
     poly_divmod,
     poly_gcd,
@@ -20,8 +19,6 @@ from splitmodel.rings import (
     poly_neg,
     poly_scale,
     poly_trim,
-    sigma_twist,
-    u_valuation,
 )
 
 INF = math.inf
@@ -96,7 +93,7 @@ def test_f9_structure():
 def test_zero_division_raises():
     F = PrimeField(5)
     with pytest.raises(NotInvertible):
-        invert(F.zero)
+        F.zero.inverse()
 
 
 def test_poly_helpers():
@@ -142,14 +139,14 @@ def test_rational_field_axioms_random():
 def test_valuation_and_sigma():
     K = FunctionField(PrimeField(5), "u")
     u = K.gen
-    assert u_valuation(K.zero) == INF
-    assert u_valuation(u * u) == 2
-    assert u_valuation(K.one / u) == -1
-    assert u_valuation(u + u * u) == 1
+    assert K.zero.valuation() == INF
+    assert (u * u).valuation() == 2
+    assert (K.one / u).valuation() == -1
+    assert (u + u * u).valuation() == 1
     f = (u + 1) / (u * u * u)
-    assert sigma_twist(sigma_twist(f)) == f
-    assert sigma_twist(u) == -u
-    assert sigma_twist(K.coerce(2)) == K.coerce(2)
+    assert f.sigma().sigma() == f
+    assert u.sigma() == -u
+    assert K.coerce(2).sigma() == K.coerce(2)
 
 
 @pytest.mark.parametrize("q", [3, 9])
@@ -183,12 +180,12 @@ def test_truncate_below_splits_off_integral_tail():
     head = f.truncate_below(3)
     assert head == K.one + u + u * u
     tail = f - head
-    assert u_valuation(tail) >= 3
+    assert tail.valuation() >= 3
     # negative-exponent case
     g = (u + 1) / (u * u)
     head = g.truncate_below(0)
     assert head == K.monomial(-2) + K.monomial(-1)
-    assert u_valuation(g - head) >= 0
+    assert (g - head).valuation() >= 0
 
 
 def test_laurent_roundtrip():
@@ -227,7 +224,7 @@ def test_series_sigma_and_residue():
     x = R.one + v + v * v
     assert x.sigma() == R.one - v + v * v
     assert x.residue() == PrimeField(5).one
-    assert u_valuation(v * v) == 2
+    assert (v * v).valuation() == 2
 
 
 def test_dual_numbers():
@@ -243,7 +240,7 @@ def test_dual_numbers():
 
 def test_multipoly_arithmetic_and_orders():
     F = PrimeField(7)
-    R = PolynomialRing(F, ("x", "y"), order="degrevlex")
+    R = PolynomialRing(F, ("x", "y"))
     x, y = R.gens
     p = x * x + x * y * 3 + y
     q = x - y
@@ -252,9 +249,6 @@ def test_multipoly_arithmetic_and_orders():
     # degrevlex ranks x^2 over xy over y
     assert p.lead_monomial() == (2, 0)
     assert (x * y + y * y).lead_monomial() == (1, 1)
-    Rlex = PolynomialRing(F, ("x", "y"), order="lex")
-    xl, yl = Rlex.gens
-    assert (yl * yl * yl + xl).lead_monomial() == (1, 0)
 
 
 def test_multipoly_substitute_and_evaluate():

@@ -49,6 +49,21 @@ def test_every_definition_is_referenced():
     assert orphans == []
 
 
+def test_every_unexported_definition_has_a_caller_in_the_package():
+    # a module-level function or class outside splitmodel.__all__ that no
+    # other package code names is reached only from the tests, so it
+    # belongs with them (the references from tests do not count here)
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [f"{path.name}:{node.lineno} {node.name}"
+               for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name not in splitmodel.__all__
+               and total[node.name] <= _references(node)[node.name]]
+    assert orphans == []
+
+
 def test_all_lists_exactly_the_imported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     imported = {alias.asname or alias.name for node in tree.body

@@ -111,7 +111,7 @@ def _on_locus(q, n, rng):
         point = sample_general_chart_point(n, m, h, l, field, rng)
         out.append(window_from_point(point.F_rows, point.frame).shifted(-1))
     for i in range(m + 1):
-        label = CoweightLabel(i, "pimodular", n)
+        label = CoweightLabel(i, n)
         out.append(_window_of(translated_base(label, K)))
     for _ in range(3):
         d = [rng.randrange(-2, 3) for _ in range(m)]
@@ -227,7 +227,7 @@ def test_cell_agrees_with_its_raises(q, n):
     kinds = set()
     for S in windows:
         got = _outcome(_window_cell, S)
-        assert got == _outcome(schubert_cell, S.lattice(), "pimodular")
+        assert got == _outcome(schubert_cell, S.lattice())
         kinds.add(got[0] if isinstance(got, tuple) else "cell")
     assert kinds == {"cell", "NotInGrassmannian", "UnrecognizedType"}
 
@@ -240,7 +240,7 @@ def _z_pairs(ring, n, rng, count):
         h = rng.choice(range(s % 2, s + 1, 2))
         point = sample_general_chart_point(n, s, h, s, ring, rng)
         if point.report.verdict and invariants(point).l == s:
-            first, _ = _shifted_cell(point, "pimodular")
+            first, _ = _shifted_cell(point)
             LG = window_from_point(point.G_rows, point.frame)
             out.append((first, LG.shifted_dual().shifted(2), s))
     return out
@@ -265,7 +265,7 @@ def test_pair_test_reports_agree(q, n):
     seen = [set() for _ in range(4)]
     for L, Lp, i in cases:
         got = _pair_test(L, Lp, lam, i, _window_cell(L))
-        want = demazure_membership(L.lattice(), Lp.lattice(), i, "pimodular")
+        want = demazure_membership(L.lattice(), Lp.lattice(), i)
         assert got.to_json_dict() == want.to_json_dict()
         for k, c in enumerate(got.conditions):
             seen[k].add(c)
@@ -287,10 +287,10 @@ def test_failing_phi_image_certificate_is_the_k_u_one():
     # l = 1 < s = 3: the pair test fails its second condition
     point = chart_point_general(6, 3, 1, 1)
     label = invariants(point)
-    image = _phi_image(point, label, *_shifted_cell(point, "pimodular"))
+    image = _phi_image(point, label, *_shifted_cell(point))
     assert not image.ok and image.demazure.conditions[1] is False
     first = shifted(lattice_from_point(point.F_rows, point.frame), -1)
-    cell = schubert_cell(first, "pimodular")
+    cell = schubert_cell(first)
     second = shifted(lattice_dual(
         lattice_from_point(point.G_rows, point.frame)), 1)
     want = {
@@ -298,8 +298,8 @@ def test_failing_phi_image_certificate_is_the_k_u_one():
         "second": second.to_json_dict(),
         "cell": cell,
         "label": {"h": label.h, "l": label.l},
-        "demazure": demazure_membership(first, second, point.s,
-                                        "pimodular").to_json_dict(),
+        "demazure": demazure_membership(first, second,
+                                        point.s).to_json_dict(),
         "square_ok": cell == label.h,
     }
     assert (json.dumps(image.to_json_dict(), sort_keys=True)
