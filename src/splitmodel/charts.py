@@ -38,6 +38,7 @@ from .rings import (
     PrimeField,
     SeriesRing,
     _key_degrevlex,
+    poly_trim,
 )
 
 #: default cap on Buchberger pairs processed in one completion run
@@ -750,13 +751,6 @@ def poly_derivative(f, name):
     return MultiPoly(ring, out, clean=False)
 
 
-def degree_in(f, name):
-    idx = f.ring.names.index(name)
-    if not f.terms:
-        return -1
-    return max(e[idx] for e in f.terms)
-
-
 def _as_univariate(f, name):
     # ascending coefficient list; coefficients are polynomials in the
     # remaining variables (the named exponent slot zeroed out)
@@ -773,58 +767,37 @@ def _as_univariate(f, name):
             for i in range(top + 1)]
 
 
-def _uni_trim(A):
-    while A and A[-1].is_zero():
-        A.pop()
-    return A
-
-
-def _uni_pseudo_rem(A, B):
-    A = list(A)
-    lb = B[-1]
-    while len(A) >= len(B):
-        la = A[-1]
-        shift = len(A) - len(B)
-        A = [a * lb for a in A]
-        for i, b in enumerate(B):
-            A[shift + i] = A[shift + i] - la * b
-        A = _uni_trim(A)
-        if not A:
-            break
-    return A
-
-
-def gcd_degree_in(f, g, name):
-    """Degree, in the named variable, of gcd(f, g)."""
-    A = _uni_trim(_as_univariate(f, name))
-    B = _uni_trim(_as_univariate(g, name))
-    if not A:
-        return len(B) - 1
-    if not B:
-        return len(A) - 1
-    if len(A) < len(B):
-        A, B = B, A
+def _uni_gcd(A, B):
+    """A gcd of A and B over k(other variables)[v], up to a factor from
+    k(other variables): Euclid's algorithm on pseudo-remainders of the
+    coefficient lists of _as_univariate."""
     while B:
-        A, B = B, _uni_pseudo_rem(A, B)
-    return len(A) - 1
+        lb = B[-1]
+        while len(A) >= len(B):
+            la, shift = A[-1], len(A) - len(B)
+            A = poly_trim([a * lb - la * B[i - shift] if i >= shift else a * lb
+                           for i, a in enumerate(A)])
+        A, B = B, A
+    return A
 
 
 def is_squarefree(f):
-    """No repeated factor involving any single variable.
+    """No repeated factor: over the perfect field k, f is squarefree exactly
+    when gcd(f, df/dx_1, ..., df/dx_n) = 1.
 
-    Checked variable by variable: a vanishing partial derivative in positive
-    degree forces a p-th power, and otherwise gcd(f, df/dv) must have degree
-    zero in v.
+    Checked variable by variable: a common factor of positive degree in v
+    divides f and every partial over k(other variables)[v], and by Gauss's
+    lemma a gcd there of positive degree in v comes from one in k[x].
     """
     if f.is_zero():
         return False
+    partials = [poly_derivative(f, name) for name in f.ring.names]
     for name in f.ring.names:
-        d = degree_in(f, name)
-        if d <= 0:
-            continue
-        df = poly_derivative(f, name)
-        if df.is_zero():
-            return False
-        if gcd_degree_in(f, df, name) != 0:
+        g = _as_univariate(f, name)
+        for df in partials:
+            if len(g) <= 1:
+                break
+            g = _uni_gcd(g, _as_univariate(df, name))
+        if len(g) > 1:
             return False
     return True

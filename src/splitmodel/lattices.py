@@ -2,16 +2,17 @@
 
 The comparison side of the package.  The rank n is even and the level is
 the stabilizer of the pi-modular lattice lam, the only case the paper
-treats.  A validated special-fiber point goes to a pair of lattices in
-F_q(u)^n, and the pair is checked against the four-condition two-lattice
-test and the cell of its first lattice against the point's (h, l) label;
-the fiber bookkeeping matches cells against labels over a whole batch.
+treats.  A validated special-fiber point over F_p goes to a pair of
+lattices in F_p(u)^n, and the pair is checked against the four-condition
+two-lattice test and the cell of its first lattice against the point's
+(h, l) label; the fiber bookkeeping matches cells against labels over a
+whole batch.
 Coweight labels, their chains and the cell dimensions describe the cells.
 
 The transfer runs on window lattices.  A lattice L between u^2*lam and
 u^-2*lam, lam = standard_lattice(n, n/2) with columns lam_j, is the full
 preimage of its image in W = u^-2*lam / u^2*lam, a u-stable subspace that
-determines L exactly.  W has the F_q-basis u^k*lam_j, k = -2, -1, 0, 1, in
+determines L exactly.  W has the F_p-basis u^k*lam_j, k = -2, -1, 0, 1, in
 blocks of n coordinates by ascending k, and every step is row reduction:
 - a frame row (a, b) lifts to sum_j (a_j + b_j*u)*lam_j: a in block 0, b in
   block 1, and the frame operator acts as u;
@@ -35,8 +36,8 @@ containment, cells and pair test are the tests' oracle
 from __future__ import annotations
 
 from .errors import (AmbientMismatch, BadParameters, ConstructionFailed,
-                     InvalidPoint, NotInGrassmannian, NotInZ, Singular,
-                     UnrecognizedType)
+                     InvalidPoint, NotInGrassmannian, NotInZ, RingUnsupported,
+                     Singular, UnrecognizedType)
 from .linalg import Matrix, Subspace, inverse, smith_form_local
 from .points import ModelPoint, invariants
 from .rings import FunctionField, PrimeField
@@ -416,11 +417,15 @@ def window_from_point(component, frame) -> WindowLattice:
 
     ``component`` is a Subspace, a rows Matrix, or an iterable of rows of
     length 2n in frame coordinates; it must be stable under the frame's
-    square-zero operator, which makes the lifted span u-stable.
+    square-zero operator, which makes the lifted span u-stable.  The
+    window stands for a lattice over k(u), which exists for a prime field
+    k = F_p only, so an extension field raises RingUnsupported.
     """
     ring = frame.ring
     if not isinstance(ring, PrimeField) or not frame.pi.is_zero():
         raise InvalidPoint("the transfer is defined on the special fiber")
+    if ring.deg != 1:
+        raise RingUnsupported(f"the transfer runs over a prime field, not {ring!r}")
     n = frame.n
     if isinstance(component, Subspace):
         rows = [list(r) for r in component.basis]

@@ -4,12 +4,17 @@ Everything downstream computes over one of the rings defined here:
 
 * ``PrimeField(q)``        -- F_q, q an odd prime power,
 * ``FunctionField(k, v)``  -- rational functions k(v) in canonical form,
+  over a prime field k = F_p only,
 * ``SeriesRing(k, v, N)``  -- truncated power series k[v]/(v^N),
-* ``DualNumbers(k)``       -- k[eps]/(eps^2), a SeriesRing with N = 2,
+* ``DualNumbers(k)``       -- k[eps]/(eps^2), the SeriesRing(k, "eps", 2),
 * ``PolynomialRing(k, names)`` -- sparse multivariate polynomials, degrevlex.
 
 All arithmetic is exact; nothing here floats.  Elements are immutable and
 hashable, and equality is structural, which the canonical forms make sound.
+Univariate polynomials use the helpers here: the ``_ipoly_*`` functions on
+int residues do every gcd and division mod p (extension-field moduli and
+k(v)), and the ``poly_*`` functions on elements do what must work over any
+coefficient ring (characteristic polynomials, valuations, text).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def _factor_prime_power(q: int):
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomial helpers over int coefficients mod p
-# (extension-field moduli and arithmetic, and k(v) over a prime field);
+# (extension-field moduli and arithmetic, and k(v) over F_p);
 # lists of residues, ascending degree
 # ---------------------------------------------------------------------------
 
@@ -115,33 +120,35 @@ def _ipoly_gcd(a, b, p):
 def _irreducible(mod, p):
     """Rabin test: mod (monic, degree k) irreducible over F_p."""
     k = len(mod) - 1
-    x = [0, 1]
-    xq = _ipoly_powmod(x, p ** k, mod, p)
-    diff = _ipoly_trim([(a - b) % p for a, b in
-                        zip(xq + [0] * 2, x + [0] * len(xq))])
-    if diff:
+
+    def frobenius_minus_x(e):
+        """x^(p^e) - x reduced mod mod."""
+        xq = _ipoly_powmod([0, 1], p ** e, mod, p)
+        return _ipoly_trim([(a - b) % p for a, b in
+                            zip_longest(xq, [0, 1], fillvalue=0)])
+
+    if frobenius_minus_x(k):
         return False
     for d in range(2, k + 1):
         if k % d == 0 and _is_prime(d):
-            xqd = _ipoly_powmod(x, p ** (k // d), mod, p)
-            diff = _ipoly_trim([(a - b) % p for a, b in
-                                zip(xqd + [0] * 2, x + [0] * len(xqd))])
-            g = _ipoly_gcd(diff, mod, p)
-            if len(g) - 1 > 0:
+            if len(_ipoly_gcd(frobenius_minus_x(k // d), mod, p)) > 1:
                 return False
     return True
 
 
+def _digits(code: int, p: int, k: int):
+    """The k base-p digits of code, least significant first."""
+    out = []
+    for _ in range(k):
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
+
+
 def _find_modulus(p: int, k: int):
     """Smallest monic irreducible of degree k over F_p, by lex search."""
-    total = p ** k
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        mod = coeffs + [1]
+    for code in range(p ** k):
+        mod = _digits(code, p, k) + [1]
         if _irreducible(mod, p):
             return tuple(mod)
     raise BadParameters(f"no irreducible of degree {k} over F_{p}")
@@ -330,14 +337,8 @@ class PrimeField:
         if self.deg == 1:
             yield from self.table
             return
-        k, p = self.deg, self.p
         for code in range(self.q):
-            coeffs = []
-            c = code
-            for _ in range(k):
-                coeffs.append(c % p)
-                c //= p
-            yield FFElement(self, tuple(coeffs))
+            yield FFElement(self, tuple(_digits(code, self.p, self.deg)))
 
     def random(self, rng) -> FFElement:
         if self.deg == 1:
@@ -349,9 +350,8 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials (coefficient tuples, ascending degree,
-# trailing zeros stripped, () is the zero polynomial); add, neg and mul
-# work over any coefficient ring, the rest over a PrimeField
+# dense univariate polynomials over any coefficient ring (coefficient tuples,
+# ascending degree, trailing zeros stripped, () is the zero polynomial)
 # ---------------------------------------------------------------------------
 
 def poly_trim(c):
@@ -390,38 +390,6 @@ def poly_scale(a, c):
     return poly_trim(tuple(c * ai for ai in a))
 
 
-def poly_divmod(a, b, field):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [field.zero] * max(len(a) - len(b) + 1, 0)
-    inv = b[-1].inverse()
-    while len(a) >= len(b):
-        while a and a[-1].is_zero():
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = a[shift + i] - c * bi
-        while a and a[-1].is_zero():
-            a.pop()
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_gcd(a, b, field):
-    """Monic gcd."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b, field)
-        a, b = b, r
-    if a:
-        a = poly_scale(a, a[-1].inverse())
-    return a
-
-
 def poly_eval(a, x, zero):
     acc = zero
     for c in reversed(a):
@@ -449,6 +417,19 @@ def poly_str(a, var):
             head = "" if c == c.field.one else f"{c!r}*"
             terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
     return " + ".join(terms)
+
+
+def series_quotient(a, b, nterms, zero):
+    """The first nterms coefficients of the power series a/b, for ascending
+    coefficient sequences a and b with b[0] invertible."""
+    inv0 = b[0].inverse()
+    out = []
+    for i in range(nterms):
+        acc = a[i] if i < len(a) else zero
+        for j in range(1, min(i, len(b) - 1) + 1):
+            acc = acc - b[j] * out[i - j]
+        out.append(acc * inv0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,30 +464,16 @@ def _reduce_mod_p(field, num, den):
 
 class RationalFunction:
     """Element of a FunctionField, kept in canonical form: numerator and
-    denominator coprime, denominator monic.  Equality is structural.  Over
-    a prime field the arithmetic runs on residues (_reduce_mod_p), over an
-    extension field on elements; a zero operand costs no polynomial work."""
+    denominator coprime, denominator monic.  Equality is structural.  The
+    arithmetic runs on residues mod p (_reduce_mod_p); a zero operand costs
+    no polynomial work."""
 
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring, num, den, reduce=True):
-        if reduce and ring.base.deg == 1:
+        if reduce:
             num, den = _reduce_mod_p(ring.base, [c.val for c in num],
                                      [c.val for c in den])
-        elif reduce:
-            num = poly_trim(num)
-            den = poly_trim(den)
-            if not den:
-                raise ZeroDivisionError("zero denominator")
-            if not num:
-                den = (ring.base.one,)
-            else:
-                g = poly_gcd(num, den, ring.base)
-                if len(g) > 1:
-                    num, _ = poly_divmod(num, g, ring.base)
-                    den, _ = poly_divmod(den, g, ring.base)
-                inv = den[-1].inverse()
-                num, den = poly_scale(num, inv), poly_scale(den, inv)
         self.ring = ring
         self.num = num
         self.den = den
@@ -526,23 +493,16 @@ class RationalFunction:
             return self
         if not self.num:
             return o
-        ring = self.ring
-        base = ring.base
-        if base.deg == 1:
-            p = base.p
-            an, bn = [c.val for c in self.num], [c.val for c in o.num]
-            den = [c.val for c in self.den]
-            if self.den != o.den:
-                bd = [c.val for c in o.den]
-                an, bn = _ipoly_mul(an, bd, p), _ipoly_mul(bn, den, p)
-                den = _ipoly_mul(den, bd, p)
-            num = [(x + y) % p for x, y in zip_longest(an, bn, fillvalue=0)]
-            return RationalFunction(ring, *_reduce_mod_p(base, num, den), reduce=False)
-        if self.den == o.den:
-            return RationalFunction(ring, poly_add(self.num, o.num), self.den)
-        num = poly_add(poly_mul(self.num, o.den, base), poly_mul(o.num, self.den, base))
-        den = poly_mul(self.den, o.den, base)
-        return RationalFunction(ring, num, den)
+        base = self.ring.base
+        p = base.p
+        an, bn = [c.val for c in self.num], [c.val for c in o.num]
+        den = [c.val for c in self.den]
+        if self.den != o.den:
+            bd = [c.val for c in o.den]
+            an, bn = _ipoly_mul(an, bd, p), _ipoly_mul(bn, den, p)
+            den = _ipoly_mul(den, bd, p)
+        num = [(x + y) % p for x, y in zip_longest(an, bn, fillvalue=0)]
+        return RationalFunction(self.ring, *_reduce_mod_p(base, num, den), reduce=False)
 
     __radd__ = __add__
 
@@ -566,14 +526,10 @@ class RationalFunction:
         if not self.num or not o.num:
             return ring.zero
         base = ring.base
-        if base.deg == 1:
-            p = base.p
-            num = _ipoly_mul([c.val for c in self.num], [c.val for c in o.num], p)
-            den = _ipoly_mul([c.val for c in self.den], [c.val for c in o.den], p)
-            return RationalFunction(ring, *_reduce_mod_p(base, num, den), reduce=False)
-        num = poly_mul(self.num, o.num, base)
-        den = poly_mul(self.den, o.den, base)
-        return RationalFunction(ring, num, den)
+        p = base.p
+        num = _ipoly_mul([c.val for c in self.num], [c.val for c in o.num], p)
+        den = _ipoly_mul([c.val for c in self.den], [c.val for c in o.den], p)
+        return RationalFunction(ring, *_reduce_mod_p(base, num, den), reduce=False)
 
     __rmul__ = __mul__
 
@@ -635,8 +591,8 @@ class RationalFunction:
         return RationalFunction(self.ring, flip(self.num), flip(self.den))
 
     def evaluate(self, x):
-        """Evaluate at a base-field (or extension) element x; the denominator
-        must not vanish there."""
+        """Evaluate at a base-field element x; the denominator must not
+        vanish there."""
         zero = x - x
         den = poly_eval(self.den, x, zero)
         if den.is_zero():
@@ -655,20 +611,9 @@ class RationalFunction:
         v = self.valuation()
         if v >= a:
             return self.ring.zero
-        nterms = a - v
-        vn = poly_valuation(self.num)
-        vd = poly_valuation(self.den)
-        nhat = self.num[vn:]
-        dhat = self.den[vd:]
-        base = self.ring.base
-        # power-series division nhat/dhat to nterms coefficients
-        inv0 = dhat[0].inverse()
-        series = []
-        for i in range(nterms):
-            acc = nhat[i] if i < len(nhat) else base.zero
-            for j in range(1, min(i, len(dhat) - 1) + 1):
-                acc = acc - dhat[j] * series[i - j]
-            series.append(acc * inv0)
+        series = series_quotient(self.num[poly_valuation(self.num):],
+                                 self.den[poly_valuation(self.den):],
+                                 a - v, self.ring.base.zero)
         return self.ring.laurent(dict(enumerate(series, start=v)))
 
     def laurent_coeffs(self):
@@ -689,11 +634,15 @@ class RationalFunction:
 
 
 class FunctionField:
-    """k(v): rational functions over a PrimeField in one variable."""
+    """k(v): rational functions in one variable over a prime field k = F_p.
+    Every k(v) the package builds is over F_3, F_5 or F_7, and the
+    arithmetic runs on residues mod p, so an extension field is refused."""
 
     _cache: dict = {}
 
     def __new__(cls, base: PrimeField, var: str = "u"):
+        if not isinstance(base, PrimeField) or base.deg != 1:
+            raise RingUnsupported(f"k(v) is built over a prime field, not {base!r}")
         return _interned(cls, (id(base), var))
 
     def __init__(self, base: PrimeField, var: str = "u"):
@@ -820,16 +769,9 @@ class TruncatedSeries:
     def inverse(self):
         if self.coeffs[0].is_zero():
             raise NotInvertible("series with zero constant term has no inverse")
-        N = self.ring.N
         base = self.ring.base
-        inv0 = self.coeffs[0].inverse()
-        out = [inv0] + [base.zero] * (N - 1)
-        for i in range(1, N):
-            acc = base.zero
-            for j in range(1, i + 1):
-                acc = acc + self.coeffs[j] * out[i - j]
-            out[i] = -acc * inv0
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries(self.ring, series_quotient(
+            (base.one,), self.coeffs, self.ring.N, base.zero))
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
@@ -876,7 +818,7 @@ class SeriesRing:
     _cache: dict = {}
 
     def __new__(cls, base, var="u", N=4):
-        return _interned(cls, (cls, id(base), var, N))
+        return _interned(cls, (id(base), var, N))
 
     def __init__(self, base: PrimeField, var: str = "u", N: int = 4):
         if getattr(self, "_ready", False):
@@ -921,17 +863,9 @@ class SeriesRing:
         return f"SeriesRing(F_{self.base.q}, {self.var!r}, N={self.N})"
 
 
-class DualNumbers(SeriesRing):
-    """k[eps]/(eps^2)."""
-
-    def __new__(cls, base):
-        return super().__new__(cls, base, "eps", 2)
-
-    def __init__(self, base: PrimeField):
-        super().__init__(base, "eps", 2)
-
-    def __repr__(self):
-        return f"DualNumbers(F_{self.base.q})"
+def DualNumbers(base: PrimeField) -> SeriesRing:
+    """k[eps]/(eps^2): the one SeriesRing(k, "eps", 2)."""
+    return SeriesRing(base, "eps", 2)
 
 
 # ---------------------------------------------------------------------------

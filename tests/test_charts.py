@@ -9,14 +9,11 @@ from splitmodel.charts import (
     GroebnerBasis,
     _shift,
     _spoly,
-    degree_in,
     flat_lift,
-    gcd_degree_in,
     groebner,
     is_squarefree,
     isotropy_relations,
     macaulay_member,
-    poly_derivative,
     reduce_poly,
     reduced_presentation,
     substitution_check,
@@ -305,10 +302,56 @@ def test_squarefreeness_detector():
     assert not is_squarefree(t * t)
     assert not is_squarefree(t * t * w)
     assert not is_squarefree(t * t * t)      # derivative vanishes in char 3
-    f = (t * w + t) * (t * w + t)
-    assert not is_squarefree(f)
-    assert degree_in(f, "t") == 2 and degree_in(f, "w") == 2
-    assert gcd_degree_in(f, poly_derivative(f, "t"), "t") == 1
+    assert not is_squarefree((t * w + t) * (t * w + t))
+    # d/dx vanishes on x^3 + y in char 3, but d/dy does not: irreducible
+    R = PolynomialRing(F3, ("x", "y"))
+    x, y = R.gens
+    assert is_squarefree(x * x * x + y)
+    assert is_squarefree(x * x * x * x + x * y)  # x*(x^3 + y)
+    assert not is_squarefree(x * x * x * y)
+    assert not is_squarefree(x * x * x)
+    assert not is_squarefree(R.zero) and is_squarefree(R.one)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_squarefreeness_on_seeded_products(q):
+    # g*h^2 with h nonconstant has a repeated factor; a product of pairwise
+    # non-proportional linear forms has none; in one variable sympy decides
+    F = PrimeField(q)
+    R = PolynomialRing(F, ("x", "y", "z"))
+    rng = random.Random(f"squarefree:{q}")
+
+    def draw(maxdeg, nterms):
+        terms = {tuple(rng.randrange(maxdeg + 1) for _ in R.names): F.random(rng)
+                 for _ in range(nterms)}
+        return MultiPoly(R, terms)
+
+    for _ in range(20):
+        g = draw(2, 3)
+        h = draw(1, 3)
+        if g.is_zero() or h.total_degree() < 1:
+            continue
+        assert not is_squarefree(g * h * h)
+    for _ in range(20):
+        forms = {}
+        for _ in range(rng.randrange(1, 5)):
+            form = R.zero
+            while form.total_degree() < 1:
+                form = draw(0, 1) + sum((R.gens[i] * F.random(rng) for i in range(3)), R.zero)
+            forms[tuple(sorted(form.monic().terms.items()))] = form
+        product = R.one
+        for form in forms.values():
+            product = product * form
+        assert is_squarefree(product)
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+    Rx = PolynomialRing(F, ("x",))
+    for _ in range(60):
+        coeffs = [rng.randrange(q) for _ in range(rng.randrange(1, 8))]
+        if not any(coeffs):
+            continue
+        f = MultiPoly(Rx, {(i,): F.from_int(c) for i, c in enumerate(coeffs)})
+        assert is_squarefree(f) == sympy.Poly(coeffs[::-1], X, modulus=q).is_sqf
 
 
 # ---------------------------------------------------------------------------
