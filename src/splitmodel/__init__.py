@@ -12,12 +12,13 @@ from .lattices import (CoweightLabel, LaurentLattice, admissible_set,
                        base_lattice, lattice_from_point, lattice_type,
                        phi_map, schubert_dimension, standard_lattice,
                        tau_fiber_check)
-from .linalg import Matrix, Subspace, smith_form_local
+from .linalg import (Matrix, Subspace, intermediate_subspaces_iter,
+                     smith_form_local, subspaces_iter)
 from .points import (ModelPoint, StratumLabel, census, chart_point_eps,
                      chart_point_general, chart_point_local, invariants,
                      iter_validated_points, sample_eps_chart_point,
                      sample_general_chart_point, stratum_dimension,
-                     tangent_report, validate)
+                     validate)
 from .rings import (DualNumbers, FunctionField, PolynomialRing, PrimeField,
                     SeriesRing)
 
@@ -30,11 +31,11 @@ __all__ = [
     "admissible_generization_pairs", "admissible_set", "base_lattice",
     "build_frame", "census", "chart_point_eps", "chart_point_general",
     "chart_point_local", "flat_lift", "generization_lift",
-    "groebner", "invariants", "is_squarefree", "isotropy_relations",
-    "iter_validated_points", "lattice_from_point", "lattice_type",
+    "groebner", "intermediate_subspaces_iter", "invariants", "is_squarefree",
+    "isotropy_relations", "iter_validated_points", "lattice_from_point", "lattice_type",
     "macaulay_member", "nonsmooth_witness", "orthogonal", "pair", "phi_map",
     "reduce_poly", "reduced_presentation", "sample_eps_chart_point",
     "sample_general_chart_point", "schubert_dimension", "smith_form_local",
-    "standard_lattice", "stratum_dimension", "substitution_check",
-    "tangent_report", "tau_fiber_check", "validate",
+    "standard_lattice", "stratum_dimension", "subspaces_iter",
+    "substitution_check", "tau_fiber_check", "validate",
 ]

@@ -15,7 +15,8 @@ boxed into field elements only where a Matrix or Subspace is handed out.
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from collections import namedtuple
+from operator import mul, neg
 
 from .errors import (
     AmbientMismatch,
@@ -265,6 +266,32 @@ def _pairings_mod_p(rows, gram, p):
     return _product_mod_p(_product_mod_p(rows, gram, p), list(zip(*rows)), p)
 
 
+# Row arithmetic over one field, for code that works on lists of rows rather
+# than on a Matrix.  Over F_p the rows hold int residues and run through the
+# *_mod_p kernels, and ``box`` turns them into the field's interned
+# elements; over any other field they hold elements and take the element
+# loops, and ``unbox`` and ``box`` only copy.  ``values()`` lists the
+# field's elements in the rows' form.
+_RowOps = namedtuple("_RowOps",
+                     "unbox box product eliminate dot neg zero one values")
+
+
+def _row_ops(field) -> _RowOps:
+    if _is_prime_field(field):
+        p = field.p
+        return _RowOps(_residues, lambda rows: _boxed(field, rows),
+                       lambda A, B: _product_mod_p(A, B, p),
+                       lambda rows: _eliminate_mod_p(rows, p),
+                       lambda u, v: sum(map(mul, u, v)) % p,
+                       lambda x: -x % p, 0, 1, lambda: range(p))
+    matrix = lambda rows: Matrix(field, rows, coerce=False)
+    return _RowOps(list, list,
+                   lambda A, B: (matrix(A) * matrix(B)).data if A else [],
+                   lambda rows: _eliminate_elements(matrix(rows)),
+                   lambda u, v: sum(map(mul, u, v), field.zero), neg,
+                   field.zero, field.one, lambda: list(field.elements()))
+
+
 # ---------------------------------------------------------------------------
 # elimination: one Gauss-Jordan kernel, pivoting on units
 # ---------------------------------------------------------------------------
@@ -403,15 +430,24 @@ def inverse(M: Matrix) -> Matrix:
 def kernel_basis(M: Matrix):
     """Basis of the right kernel {v : M v = 0} over a field, as a list of
     vectors."""
-    R, pivots = rref(M)
-    ring = M.ring
-    free = [c for c in range(M.ncols) if c not in pivots]
+    if not M.ring.is_field:
+        raise NotAField(f"a kernel basis needs a field, got {M.ring!r}")
+    ops = _row_ops(M.ring)
+    return ops.box(_kernel(ops, ops.unbox(M.data), M.ncols))
+
+
+def _kernel(ops, rows, ncols):
+    """Basis of the right kernel of rows (ncols columns) on the rows of ops:
+    one vector per non-pivot column c of the reduced rows, 1 at c and minus
+    the reduced rows' entries in column c at their pivots."""
+    reduced, pivots, _ = ops.eliminate(rows)
+    cols = [c for _, c in pivots]
     basis = []
-    for fc in free:
-        v = [ring.zero] * M.ncols
-        v[fc] = ring.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -R.data[r][fc]
+    for free in (c for c in range(ncols) if c not in cols):
+        v = [ops.zero] * ncols
+        v[free] = ops.one
+        for r, c in enumerate(cols):
+            v[c] = ops.neg(reduced[r][free])
         basis.append(v)
     return basis
 
@@ -576,21 +612,30 @@ class Subspace:
 
 def subspaces_iter(field, ambient: int, dim: int):
     """All dim-dimensional subspaces of field^ambient, one per canonical
-    RREF pattern."""
+    RREF pattern, each boxed into a Subspace."""
     if dim < 0 or dim > ambient:
         return
-    els = list(field.elements())
+    ops = _row_ops(field)
+    for rows, pivots in _echelon_patterns(ops, ambient, dim):
+        yield Subspace._echelon(field, ambient, ops.box(rows), pivots)
+
+
+def _echelon_patterns(ops, ambient: int, dim: int):
+    """(rows, pivots) of every dim-dimensional subspace of field^ambient
+    (0 <= dim <= ambient), on the rows of ops: the reduced rows and pivot
+    columns of each RREF pattern, in the order subspaces_iter yields them."""
+    values = ops.values()
     for pivots in itertools.combinations(range(ambient), dim):
         # free positions: right of the pivot, not a pivot column
         free = [(r, c) for r, p in enumerate(pivots)
                 for c in range(p + 1, ambient) if c not in pivots]
-        for values in itertools.product(els, repeat=len(free)):
-            rows = [[field.zero] * ambient for _ in range(dim)]
+        for entries in itertools.product(values, repeat=len(free)):
+            rows = [[ops.zero] * ambient for _ in range(dim)]
             for r, p in enumerate(pivots):
-                rows[r][p] = field.one
-            for (r, c), v in zip(free, values):
+                rows[r][p] = ops.one
+            for (r, c), v in zip(free, entries):
                 rows[r][c] = v
-            yield Subspace._echelon(field, ambient, rows, pivots)
+            yield rows, pivots
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -607,49 +652,50 @@ def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int,
                                 gram: Matrix):
     """Subspaces S with lower <= S <= upper and dim(S) = dim that are
     totally isotropic for gram (x . gram . y = 0 for all x, y in S), in the
-    order of subspaces_iter over the quotient upper/lower.  A depth-first
-    walk over the rows of the RREF patterns of S/lower admits a row only
-    when it pairs to zero with itself, with lower on either side and with
-    the rows chosen before it, so no other S is built.  Yields nothing when
-    lower is not totally isotropic.  Over F_p the walk, each S and its RREF
-    run on int residues, and S is boxed once into the Subspace yielded."""
-    field, ambient = lower.ring, lower.ambient
+    order of subspaces_iter over the quotient upper/lower.  Yields nothing
+    when lower is not totally isotropic.  The walk is _isotropic_walk; over
+    F_p it runs on int residues, and each S is boxed once into the Subspace
+    yielded."""
+    field = lower.ring
     if not upper.contains(lower):
         raise BadDimension("lower subspace not inside upper subspace")
-    d, e = dim - lower.dim, lower.dim
-    if d < 0 or dim > upper.dim:
+    ops = _row_ops(field)
+    walk = _isotropic_walk(ops, ops.unbox(lower.basis), ops.unbox(upper.basis),
+                           dim, ops.unbox(gram.data))
+    for rows, pivots in walk:
+        yield Subspace._echelon(field, lower.ambient, ops.box(rows), pivots)
+
+
+def _isotropic_walk(ops, lower, upper, dim: int, gram):
+    """(rows, pivots) of each S that intermediate_subspaces_iter yields, on
+    the rows of ops: lower and upper are bases (lower's span inside
+    upper's), gram the form's rows, and each S comes as its reduced rows and
+    pivot columns.  A depth-first walk over the rows of the RREF patterns of
+    S/lower admits a row only when it pairs to zero with itself, with lower
+    on either side and with the rows chosen before it, so no other S is
+    built; each S then costs one product and one elimination."""
+    product, eliminate, dot = ops.product, ops.eliminate, ops.dot
+    d, e = dim - len(lower), len(lower)
+    if d < 0 or dim > len(upper):
         return
     # complement vectors of lower inside upper: the rows of upper outside the
     # span of the rows before them, the pivot columns of the stacked columns
-    stacked = lower.basis + upper.basis
-    comp = tuple(stacked[c] for c in
-                 rref(Matrix(field, list(zip(*stacked)), coerce=False))[1][e:])
+    stacked = [*lower, *upper]
+    comp = [stacked[c] for _, c in
+            eliminate([list(col) for col in zip(*stacked)])[1][e:]]
     k = len(comp)
-    if _is_prime_field(field):
-        p = field.p
-        unbox, box = _residues, lambda rows: _boxed(field, rows)
-        product = lambda A, B: _product_mod_p(A, B, p)
-        eliminate = lambda rows: _eliminate_mod_p(rows, p)
-        dot = lambda u, v: sum(map(mul, u, v)) % p
-        values, zero, one = range(p), 0, 1
-    else:
-        unbox = box = list
-        matrix = lambda rows: Matrix(field, rows, coerce=False)
-        product = lambda A, B: (matrix(A) * matrix(B)).data if A else []
-        eliminate = lambda rows: _eliminate_elements(matrix(rows))
-        dot = lambda u, v: sum(map(mul, u, v), field.zero)
-        values, zero, one = list(field.elements()), field.zero, field.one
     # P pairs the rows of lower and the complement vectors; a row c of
     # S/lower stands for c . C and pairs with a row c' as c M c'^t, and with
     # lower as c . w for the rows w of `pairings`
-    W = unbox(lower.basis + comp)
-    P = product(product(W, unbox(gram.data)), list(zip(*W)))
+    W = [*lower, *comp]
+    P = product(product(W, gram), [list(col) for col in zip(*W)])
     if any(any(row[:e]) for row in P[:e]):
         return
     M = [row[e:] for row in P[e:]]
     Mt = [list(col) for col in zip(*M)]
     pairings = [w for w in [row[e:] for row in P[:e]] + list(zip(*P[e:]))[:e]
                 if any(w)]
+    values, zero, one = ops.values(), ops.zero, ops.one
 
     def walk(pivots, r, chosen, constraints):
         if r == d:
@@ -674,8 +720,7 @@ def intermediate_subspaces_iter(lower: Subspace, upper: Subspace, dim: int,
     for pivots in itertools.combinations(range(k), d):
         for chosen in walk(pivots, 0, [], pairings):
             rows, rref_pivots, _ = eliminate(W[:e] + product(chosen, W[e:]))
-            yield Subspace._echelon(field, ambient, box(rows),
-                                    [c for _, c in rref_pivots])
+            yield rows, [c for _, c in rref_pivots]
 
 
 # ---------------------------------------------------------------------------

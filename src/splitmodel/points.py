@@ -5,9 +5,11 @@ dimension formula, and exhaustive or sampled stratum censuses.
 A point is a pair of subspaces (F, G) of the frame's 2n-space: F of rank n
 and isotropic for the symmetric pairing, G of rank s squeezed between the
 images of (t+pi) and the kernel of (t-pi).  Its stratum is labeled by
-h = dim t*F and l = dim(G meet G-perp') for the modified pairing.  Over a
-prime field a point is validated and labelled on the int residues of its
-rows, unboxed once per call; no field element is built for either.
+h = dim t*F and l = dim(G meet G-perp') for the modified pairing.
+Validation is a G half, what the conditions say about G alone (l among
+it), then an F half, which also finds h.  Over a prime field both run on
+the int residues of the rows, and the exhaustive census runs the G half
+once per G and walks, checks and labels each F on residues, boxing none.
 """
 
 from __future__ import annotations
@@ -26,23 +28,25 @@ from .errors import (
     RelationViolated,
     RingUnsupported,
 )
-from .frame import Frame, build_frame, normal_form_gram, orthogonal
+from .frame import Frame, build_frame, normal_form_gram
 from .linalg import (
     Matrix,
     Subspace,
+    _echelon_patterns,
     _eliminate_mod_p,
+    _isotropic_walk,
+    _kernel,
     _pairings_mod_p,
     _product_mod_p,
     _residues,
+    _row_ops,
     charpoly,
     columns_contain,
     gaussian_binomial,
-    intermediate_subspaces_iter,
     kernel_basis,
     rank,
     residual_rank,
     solve_right,
-    subspaces_iter,
 )
 from .rings import PrimeField, poly_mul
 
@@ -90,10 +94,10 @@ class ModelPoint:
     ``kottwitz`` is set, and keeps the outcome in ``report``.  A point whose
     ranks or containment of G in F fail raises InvalidPoint.  ``label`` is
     None until ``invariants`` computes the stratum label, which it keeps
-    there."""
+    there, from the ranks (h, l) that validation found on the way."""
 
     __slots__ = ("frame", "ring", "F_rows", "G_rows", "r", "s",
-                 "predicted_label", "report", "label")
+                 "predicted_label", "report", "label", "_ranks")
 
     def __init__(self, frame: Frame, F_rows: Matrix, G_rows: Matrix,
                  predicted_label=None, kottwitz=False):
@@ -102,21 +106,29 @@ class ModelPoint:
             raise AmbientMismatch("point and frame coefficient rings differ")
         if F_rows.ncols != 2 * n or G_rows.ncols != 2 * n:
             raise AmbientMismatch("basis vectors must have length 2n")
-        self.frame = frame
-        self.ring = frame.ring
-        self.F_rows = F_rows
-        self.G_rows = G_rows
-        self.s = G_rows.nrows
-        self.r = n - self.s
-        self.predicted_label = predicted_label
-        self.label = None
+        self.frame, self.ring = frame, frame.ring
+        self.F_rows, self.G_rows = F_rows, G_rows
+        self.s, self.r = G_rows.nrows, n - G_rows.nrows
+        self.predicted_label, self.label = predicted_label, None
         if self.s > self.r:
             raise BadParameters("signature needs s <= r")
-        self.report = validate(frame, F_rows, G_rows, kottwitz=kottwitz)
+        self.report, *self._ranks = _check(frame, F_rows, G_rows, kottwitz)
         if not self.report.ranks:
             raise InvalidPoint("basis matrices are not of full rank")
         if not self.report.containment:
             raise InvalidPoint("G is not contained in F")
+
+    @classmethod
+    def _checked(cls, frame, F_rows, G_rows, report, label):
+        """The point of a census outcome, which carries its report and label
+        already: nothing is checked again."""
+        point = cls.__new__(cls)
+        point.frame, point.ring = frame, frame.ring
+        point.F_rows, point.G_rows = F_rows, G_rows
+        point.s, point.r = G_rows.nrows, frame.n - G_rows.nrows
+        point.predicted_label, point.report = None, report
+        point.label = point._ranks = label
+        return point
 
     def F_subspace(self) -> Subspace:
         return Subspace(self.ring, 2 * self.frame.n, self.F_rows.rows(),
@@ -160,51 +172,104 @@ def validate(frame: Frame, F, G, kottwitz=False) -> ValidationReport:
     compares the characteristic polynomial of t on F with the split form
     prescribed by the signature.
     """
-    ring = frame.ring
-    n = frame.n
-    F_rows = _as_rows_matrix(ring, 2 * n, F)
-    G_rows = _as_rows_matrix(ring, 2 * n, G)
-    if frame.residues is not None and not kottwitz:
-        return _validate_mod_p(frame, _residues(F_rows.data),
-                               _residues(G_rows.data))
-    F_cols = F_rows.transpose()
-    G_cols = G_rows.transpose()
-    s = G_rows.nrows
-
-    # (1): ranks over the residue field, the same as ranks over a field
-    ranks_ok = (F_rows.nrows == n and residual_rank(F_rows) == n
-                and residual_rank(G_rows) == s)
-    containment = ranks_ok and columns_contain(F_cols, G_cols)
-    # (2): every symmetric pairing of basis vectors of F vanishes
-    isotropy = (F_rows * frame.gram_sym * F_cols).is_zero()
-    # (3a): (t+pi)F inside G
-    image_a = frame.t_plus * F_cols
-    splitting_a = ranks_ok and columns_contain(G_cols, image_a)
-    # (3b): (t-pi)G = 0
-    splitting_b = (frame.t_minus * G_cols).is_zero()
-    # (4): the rank of (t+pi) on F is the rank of the columns of (3a);
-    # skipped off field points, where it is not defined this way
-    spin = (rank(image_a) - s) % 2 == 0 if ring.is_field else None
-    kott = _kottwitz_check(frame, F_cols, n - s, s) if kottwitz else None
-    return ValidationReport(ranks_ok, containment, isotropy, splitting_a,
-                            splitting_b, spin, kott)
+    n2 = 2 * frame.n
+    return _check(frame, _as_rows_matrix(frame.ring, n2, F),
+                  _as_rows_matrix(frame.ring, n2, G), kottwitz)[0]
 
 
-def _validate_mod_p(frame: Frame, F, G) -> ValidationReport:
-    """validate over F_p without the Kottwitz condition, on the int residue
-    rows F and G: the same conditions, where the columns are the transposed
-    rows and a containment holds when stacking adds no pivot."""
+class _GHalf(NamedTuple):
+    """What the conditions of a point say about G alone: rank(G) = s,
+    (t-pi)G = 0, and l = dim(G meet G-perp'), the corank of the modified
+    pairing on the image-of-t halves of G's rows.  l is None when G leaves
+    the image of t, where that pairing is defined, or off field points."""
+
+    ranks: bool
+    splitting_b: bool
+    l: int | None
+
+
+def _check(frame: Frame, F: Matrix, G: Matrix, kottwitz=False):
+    """(report, h, l) of the point with basis matrices F and G: the G half,
+    then the F half.  Over F_p without the Kottwitz condition both run on
+    the int residues of the rows, unboxed once here; otherwise on the
+    element rows."""
+    if frame.residues is None or kottwitz:
+        g = _g_half_elements(frame, G.data)
+        return (*_f_half_elements(frame, G.data, g, F.data, kottwitz), g.l)
+    G = _residues(G.data)
+    g = _g_half_mod_p(frame, G)
+    return (*_f_half_mod_p(frame, G, g, _residues(F.data)), g.l)
+
+
+def _g_half_mod_p(frame: Frame, G) -> _GHalf:
+    """The G half over F_p on G's int residue rows: two eliminations and
+    three products, once per G."""
+    p, res, n = frame.ring.p, frame.residues, frame.n
+    tails = [row[n:] for row in G]
+    in_image = not any(any(row[:n]) for row in G)
+    gram = _pairings_mod_p(tails, res["gram_mod"], p) if in_image else None
+    return _GHalf(
+        ranks=len(_eliminate_mod_p(G, p)[1]) == len(G),
+        splitting_b=not any(map(any, _product_mod_p(res["t_minus"],
+                                                    list(zip(*G)), p))),
+        l=len(G) - len(_eliminate_mod_p(gram, p)[1]) if in_image else None)
+
+
+def _f_half_mod_p(frame: Frame, G, g: _GHalf, F):
+    """(report, h) of the point (F, G) over F_p, on the int residue rows F
+    and G, given G's half g: rank(F) = n, G inside F, isotropy, (t+pi)F
+    inside G and spin, where the columns are the transposed rows and a
+    containment holds when stacking adds no pivot.  Four eliminations and
+    three products.  h = rank((t+pi)F) is the label's h = rank(tF) at
+    pi = 0, and None off it."""
     p, res, n, s = frame.ring.p, frame.residues, frame.n, len(G)
     rank = lambda rows: len(_eliminate_mod_p(rows, p)[1])
-    ranks_ok = len(F) == n and rank(F) == n and rank(G) == s
+    ranks_ok = g.ranks and len(F) == n and rank(F) == n
     image_a = _product_mod_p(res["t_plus"], list(zip(*F)), p)
-    image_b = _product_mod_p(res["t_minus"], list(zip(*G)), p)
-    return ValidationReport(
+    rank_a = rank(image_a)
+    report = ValidationReport(
         ranks=ranks_ok, containment=ranks_ok and rank(F + G) == n,
         isotropy=not any(map(any, _pairings_mod_p(F, res["gram_sym"], p))),
         splitting_a=ranks_ok and rank(G + list(zip(*image_a))) == s,
-        splitting_b=not any(map(any, image_b)),
-        spin=(rank(image_a) - s) % 2 == 0, kottwitz=None)
+        splitting_b=g.splitting_b, spin=(rank_a - s) % 2 == 0, kottwitz=None)
+    return report, rank_a if frame.pi.is_zero() else None
+
+
+def _g_half_elements(frame: Frame, G) -> _GHalf:
+    """The G half over any ring, by element arithmetic on G's rows: ranks
+    over the residue field, and l on field points only."""
+    ring, n, s = frame.ring, frame.n, len(G)
+    G = Matrix(ring, G, coerce=False)
+    in_image = ring.is_field and all(frame.in_t_lambda(row) for row in G.data)
+    tails = G.submatrix(range(s), range(n, 2 * n))
+    return _GHalf(
+        ranks=residual_rank(G) == s,
+        splitting_b=(frame.t_minus * G.transpose()).is_zero(),
+        l=(s - rank(tails * frame.gram_mod * tails.transpose())
+           if in_image else None))
+
+
+def _f_half_elements(frame: Frame, G, g: _GHalf, F, kottwitz=False):
+    """_f_half_mod_p over any ring, by element arithmetic on the rows F and
+    G: ranks over the residue field and containment of column spans, which
+    over a local ring is more than a rank; spin and h on field points only,
+    and the Kottwitz condition when asked for."""
+    ring, n, s = frame.ring, frame.n, len(G)
+    F = Matrix(ring, F, coerce=False)
+    F_cols, G_cols = F.transpose(), Matrix(ring, G, coerce=False).transpose()
+    ranks_ok = g.ranks and F.nrows == n and residual_rank(F) == n
+    image_a = frame.t_plus * F_cols
+    rank_a = rank(image_a) if ring.is_field else None
+    report = ValidationReport(
+        ranks=ranks_ok,
+        containment=ranks_ok and columns_contain(F_cols, G_cols),
+        isotropy=(F * frame.gram_sym * F_cols).is_zero(),
+        splitting_a=ranks_ok and columns_contain(G_cols, image_a),
+        splitting_b=g.splitting_b,
+        spin=None if rank_a is None else (rank_a - s) % 2 == 0,
+        kottwitz=(_kottwitz_check(frame, F_cols, n - s, s) if kottwitz
+                  else None))
+    return report, rank_a if frame.pi.is_zero() else None
 
 
 def _kottwitz_check(frame: Frame, cols: Matrix, r: int, s: int):
@@ -235,44 +300,30 @@ def _kottwitz_check(frame: Frame, cols: Matrix, r: int, s: int):
 # stratum invariants
 # ---------------------------------------------------------------------------
 
-def _radical_dim(frame: Frame, tails: Matrix) -> int:
-    """Dimension of the radical of the modified pairing on the span of the
-    independent ``tails`` (image-of-t parts of rows): the corank of its Gram
-    matrix there, computed on the residues over a prime field."""
-    if frame.residues is None:
-        return tails.nrows - rank(tails * frame.gram_mod * tails.transpose())
-    p, rows = frame.ring.p, _residues(tails.data)
-    gram = _pairings_mod_p(rows, frame.residues["gram_mod"], p)
-    return len(rows) - len(_eliminate_mod_p(gram, p)[1])
-
-
 def invariants(point: ModelPoint) -> StratumLabel:
     """(h, l) of a validated field point: h = dim tF and
     l = dim(G meet G-perp'), the corank of the modified pairing on G.
-    Computed on the first call and kept on the point, so later calls
-    return the same label without work."""
+    Validation found both ranks; the label is made from them on the first
+    call and kept on the point, so later calls return the same label."""
     if point.label is not None:
         return point.label
-    frame = point.frame
-    ring = point.ring
-    if not ring.is_field:
+    if not point.ring.is_field:
         raise RingUnsupported("invariants are defined for field points")
     if not point.report.passes_closed_conditions():
         raise InvalidPoint("point fails the closed conditions")
-    if frame.residues is None:
-        h = rank(point.F_rows * frame.t_matrix.transpose())
-    else:
-        p, F_cols = frame.ring.p, list(zip(*_residues(point.F_rows.data)))
-        image = _product_mod_p(frame.residues["t_matrix"], F_cols, p)
-        h = len(_eliminate_mod_p(image, p)[1])
-    if not all(frame.in_t_lambda(row) for row in point.G_rows.data):
-        raise NotInTLambda("the modified pairing needs G inside im(t)")
-    n, s = frame.n, point.s
-    l = _radical_dim(frame, point.G_rows.submatrix(range(s), range(n, 2 * n)))
-    if not (0 <= h <= l <= s) or (l - s) % 2 != 0:
-        raise InvalidPoint(f"invariant bookkeeping violated: h={h}, l={l}, s={s}")
-    point.label = StratumLabel(h, l)
+    point.label = _label(*point._ranks, point.s)
     return point.label
+
+
+def _label(h, l, s) -> StratumLabel:
+    """The label (h, l) after its bookkeeping checks: l needs G inside the
+    image of t, and 0 <= h <= l <= s with l = s mod 2.  h is None only off
+    pi = 0, where no closed point has G inside the image of t."""
+    if l is None:
+        raise NotInTLambda("the modified pairing needs G inside im(t)")
+    if h is None or not (0 <= h <= l <= s) or (l - s) % 2 != 0:
+        raise InvalidPoint(f"invariant bookkeeping violated: h={h}, l={l}, s={s}")
+    return StratumLabel(h, l)
 
 
 def stratum_dimension(r: int, s: int, h: int, l: int) -> int:
@@ -567,45 +618,67 @@ _REJECT_REASONS = {"ranks": "rank", "containment": "rank",
                    "splitting_b": "splitting-b", "spin": "spin"}
 
 
-def _intervals(frame, s):
-    """(G, L, U) for each G of the exhaustive walk: G over the
-    s-dimensional subspaces of the image of t, L = G + G-perp' and U the
-    preimage of G under t.  G and U are written in reduced form directly:
-    G's rows are the reduced rows g of Gproj as (0 | g), and U's are the
+def _g_rows(ops, n, s):
+    """The rows (0 | g) of each G of the exhaustive walk, on the rows of
+    ops: g runs over the reduced rows of the s-dimensional subspaces of the
+    image of t."""
+    zrow = [ops.zero] * n
+    for rows, _ in _echelon_patterns(ops, n, s):
+        yield [zrow + row for row in rows]
+
+
+def _interval(frame, ops, G):
+    """(L, U) of G's interval, as bases on the rows of ops.  L = G + G-perp'
+    is the reduced span of G's image-of-t halves and of a kernel basis of
+    (those halves) * gram_mod: one residue kernel and one elimination.  U,
+    the preimage of G under t, is written down reduced: the halves as
     (g | 0) above the identity on the image of t."""
-    field, n = frame.ring, frame.n
-    zrow = [field.zero] * n
-    t_lambda = list(frame.t_lambda().basis)
-    for Gproj in subspaces_iter(field, n, s):
-        G = Subspace._echelon(field, 2 * n,
-                              [zrow + list(row) for row in Gproj.basis],
-                              [p + n for p in Gproj.pivots])
-        L = G.sum(orthogonal(frame, G, "modified"))
-        U = Subspace._echelon(field, 2 * n,
-                              [list(row) + zrow for row in Gproj.basis]
-                              + t_lambda,
-                              Gproj.pivots + tuple(range(n, 2 * n)))
-        yield G, L, U
+    n, zero, one = frame.n, ops.zero, ops.one
+    tails = [row[n:] for row in G]
+    perp = _kernel(ops, ops.product(tails, ops.unbox(frame.gram_mod.data)), n)
+    rows, pivots, _ = ops.eliminate(tails + perp)
+    zrow = [zero] * n
+    L = [zrow + row for row in rows[:len(pivots)]]
+    U = [row + zrow for row in tails] + [
+        zrow + [one if c == j else zero for c in range(n)] for j in range(n)]
+    return L, U
 
 
 def _exhaustive_walk(n, s, q, budget):
-    """(count, candidates) of the exhaustive walk: count is the number of F
-    in the intervals [L, U], summed over G, and candidates yields the
-    points (F, G) with F totally isotropic, each validated in full,
-    isotropy included; the walker builds no other F.  Raises
-    BudgetExceeded, before any F is built, when count exceeds budget.
-    With l the corank of the modified pairing on G, dim U/L = s + l and
-    dim F/L = l, so G's interval holds [s + l choose l]_q candidates."""
+    """(frame, count, outcomes) of the exhaustive walk.  count is the
+    number of F in the intervals [L, U], summed over G: with l the corank
+    of the modified pairing on G, dim U/L = s + l and dim F/L = l, so G's
+    interval holds [s + l choose l]_q candidates.  outcomes yields
+    (G, F, report, label) for each totally isotropic F, with G and F as
+    rows (int residues over F_p) and the label None unless the report
+    passes; the walker builds no other F, and nothing is boxed.
+
+    The G half runs once per G, before the walk, and its l serves both the
+    count and the labels; the walk regenerates G's rows, which takes no
+    kernel call, instead of holding them all.  Raises BudgetExceeded, before
+    any F is built, when count exceeds budget."""
     frame = build_frame(n, ring=PrimeField(q))
-    coranks = (_radical_dim(frame, G.matrix())
-               for G in subspaces_iter(frame.ring, n, s))
-    total = sum(gaussian_binomial(s + l, l, q) for l in coranks)
+    ops = _row_ops(frame.ring)
+    g_half, f_half = ((_g_half_mod_p, _f_half_mod_p) if frame.residues
+                      else (_g_half_elements, _f_half_elements))
+    # few distinct halves: keep one record of each
+    shared = {}
+    halves = [shared.setdefault(g, g)
+              for g in (g_half(frame, G) for G in _g_rows(ops, n, s))]
+    total = sum(gaussian_binomial(s + g.l, g.l, q) for g in halves)
     if total > budget:
         raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
-    return total, (ModelPoint(frame, F.matrix(), G.matrix())
-                   for G, L, U in _intervals(frame, s)
-                   for F in intermediate_subspaces_iter(L, U, n,
-                                                        frame.gram_sym))
+    gram = ops.unbox(frame.gram_sym.data)
+
+    def outcomes():
+        for G, g in zip(_g_rows(ops, n, s), halves):
+            L, U = _interval(frame, ops, G)
+            for F, _ in _isotropic_walk(ops, L, U, n, gram):
+                report, h = f_half(frame, G, g, F)
+                label = _label(h, g.l, s) if report.verdict else None
+                yield G, F, report, label
+
+    return frame, total, outcomes()
 
 
 def random_skew(field, rng, size):
@@ -703,34 +776,36 @@ def census(n: int, s: int, q: int, strategy: str = "exhaustive",
 
     Exhaustive strategy enumerates G over the s-dimensional subspaces of
     the image of t, then F over the interval [G + G-perp', preimage of G
-    under t]; every yielded candidate runs the full validator, and the
-    candidates the walker skips, which are not totally isotropic, count as
-    isotropy rejections.  `examined` counts both.  Chart-sampled
-    strategy draws `budget` seeded random points of the worst-point chart,
-    in `workers` seeded draw streams; the exhaustive walk does not depend
-    on `workers`.
+    under t]; every yielded candidate runs the full validator (its G half
+    once per G, its F half per F), and the candidates the walker skips,
+    which are not totally isotropic, count as isotropy rejections.
+    `examined` counts both.  Chart-sampled strategy draws `budget` seeded
+    random points of the worst-point chart, in `workers` seeded draw
+    streams; the exhaustive walk does not depend on `workers`.
     """
     if n % 2 != 0 or n < 4 or not (1 <= s <= n // 2):
         raise BadParameters("need even n >= 4 and 1 <= s <= n/2")
     if workers < 1:
         raise BadParameters("workers must be positive")
     if strategy == "exhaustive":
-        examined, candidates = _exhaustive_walk(n, s, q, budget)
+        _, examined, outcomes = _exhaustive_walk(n, s, q, budget)
+        checked = ((report, label, None) for _, _, report, label in outcomes)
     elif strategy == "chart-sampled":
         examined = budget
-        candidates = _sampled_candidates(n, s, q, budget, seed, workers)
+        draws = _sampled_candidates(n, s, q, budget, seed, workers)
+        checked = ((p.report, invariants(p) if p.report.verdict else None,
+                    p.predicted_label) for p in draws)
     else:
         raise BadParameters(f"unknown strategy {strategy!r}")
     strata = {}
     rejected = dict.fromkeys(_REJECT_REASONS.values(), 0)
     walked = mismatches = 0
-    for point in candidates:
+    for report, lab, predicted in checked:
         walked += 1
-        if not point.report.verdict:
-            rejected[_REJECT_REASONS[point.report.first_failure()]] += 1
+        if not report.verdict:
+            rejected[_REJECT_REASONS[report.first_failure()]] += 1
             continue
-        lab = invariants(point)
-        if point.predicted_label is not None and lab != point.predicted_label:
+        if predicted is not None and lab != predicted:
             mismatches += 1
         strata[lab] = strata.get(lab, 0) + 1
     rejected["isotropy"] += examined - walked
@@ -743,138 +818,15 @@ def census(n: int, s: int, q: int, strategy: str = "exhaustive",
 
 def iter_validated_points(n: int, s: int, q: int, budget: int = 10 ** 8):
     """Yield (point, label) over every validated point of the exhaustive
-    walk, in the same candidate order the exhaustive census uses."""
+    walk, in the same candidate order the exhaustive census uses.  Only
+    these points are boxed, each into a ModelPoint that carries its report
+    and label."""
     if n % 2 != 0 or n < 4 or not (1 <= s <= n // 2):
         raise BadParameters("need even n >= 4 and 1 <= s <= n/2")
-    for point in _exhaustive_walk(n, s, q, budget)[1]:
-        if point.report.verdict:
-            yield point, invariants(point)
-
-
-# ---------------------------------------------------------------------------
-# first-order deformations
-# ---------------------------------------------------------------------------
-
-def tangent_report(point: ModelPoint) -> int:
-    """Dimension of the space of first-order deformations of (F, G)
-    satisfying the linearized closed conditions (1)-(3).
-
-    Unknowns are maps F -> V/F and G -> V/G in the standard Grassmannian
-    parametrization, so trivial reparametrizations are already quotiented
-    out."""
-    frame = point.frame
-    field = point.ring
-    if not field.is_field:
-        raise RingUnsupported("tangent computation runs over field points")
-    if not point.report.passes_closed_conditions():
-        raise InvalidPoint("point fails the closed conditions")
-
-    n2 = 2 * frame.n
-    F = point.F_subspace()
-    G = point.G_subspace()
-    nF, sG = F.dim, G.dim
-    compF = [c for c in range(n2) if c not in F.pivots]
-    compG = [c for c in range(n2) if c not in G.pivots]
-    dF, dG = len(compF), len(compG)
-
-    f_basis = [list(row) for row in F.basis]
-    g_basis = [list(row) for row in G.basis]
-    t_plus, t_minus = frame.t_plus, frame.t_minus
-
-    # unknown layout: phi[i][k] (i < nF, k < dF), then delta[a][k] (a < sG, k < dG)
-    nvars = nF * dF + sG * dG
-
-    def phi_idx(i, k):
-        return i * dF + k
-
-    def delta_idx(a, k):
-        return nF * dF + a * dG + k
-
-    rows = []
-
-    def new_row():
-        return [field.zero] * nvars
-
-    # (2) linearized isotropy: (f_i, phi_j) + (phi_i, f_j) = 0
-    gram = frame.gram_sym
-    fg = [gram.apply_to_vector(f) for f in f_basis]  # gram . f_i
-    for i in range(nF):
-        for j in range(i, nF):
-            row = new_row()
-            for k, c in enumerate(compF):
-                # phi_j coefficient against f_i: e_c . gram . f_i
-                row[phi_idx(j, k)] = row[phi_idx(j, k)] + fg[i][c]
-                row[phi_idx(i, k)] = row[phi_idx(i, k)] + fg[j][c]
-            rows.append(row)
-
-    # (3b) linearized: (t - pi) . delta_a = 0
-    for a in range(sG):
-        for coord in range(n2):
-            row = new_row()
-            for k, c in enumerate(compG):
-                row[delta_idx(a, k)] = t_minus.data[coord][c]
-            rows.append(row)
-
-    # coefficients of (t + pi) f_j in the G basis, and of g_a in the F basis
-    Gcols = Matrix.from_cols(field, g_basis)
-    Fcols = Matrix.from_cols(field, f_basis)
-    c_of = []
-    for j in range(nF):
-        tf = t_plus.apply_to_vector(f_basis[j])
-        c_of.append(solve_right(Gcols, tf))
-    u_of = []
-    for a in range(sG):
-        u_of.append(solve_right(Fcols, g_basis[a]))
-
-    # (3a) linearized: (t + pi) phi_j - sum_a c_a(j) delta_a = 0 mod G
-    red_tc = [G.reduce(t_plus.apply_to_vector(_unit_vec(field, n2, c)))
-              for c in range(n2)]
-    red_e_G = [G.reduce(_unit_vec(field, n2, c)) for c in range(n2)]
-    for j in range(nF):
-        for coord in range(n2):
-            row = new_row()
-            nontrivial = False
-            for k, c in enumerate(compF):
-                val = red_tc[c][coord]
-                if not val.is_zero():
-                    nontrivial = True
-                row[phi_idx(j, k)] = val
-            for a in range(sG):
-                ca = c_of[j][a]
-                if ca.is_zero():
-                    continue
-                for k, c in enumerate(compG):
-                    val = ca * red_e_G[c][coord]
-                    if not val.is_zero():
-                        nontrivial = True
-                    row[delta_idx(a, k)] = row[delta_idx(a, k)] - val
-            if nontrivial:
-                rows.append(row)
-
-    # (1) linearized: delta_a - sum_j u_aj phi_j = 0 mod F
-    red_e_F = [F.reduce(_unit_vec(field, n2, c)) for c in range(n2)]
-    for a in range(sG):
-        for coord in range(n2):
-            row = new_row()
-            nontrivial = False
-            for k, c in enumerate(compG):
-                val = red_e_F[c][coord]
-                if not val.is_zero():
-                    nontrivial = True
-                row[delta_idx(a, k)] = val
-            for j in range(nF):
-                uj = u_of[a][j]
-                if uj.is_zero():
-                    continue
-                for k, c in enumerate(compF):
-                    val = uj * red_e_F[c][coord]
-                    if not val.is_zero():
-                        nontrivial = True
-                    row[phi_idx(j, k)] = row[phi_idx(j, k)] - val
-            if nontrivial:
-                rows.append(row)
-
-    if not rows:
-        return nvars
-    system = Matrix(field, rows, coerce=False)
-    return len(kernel_basis(system))
+    frame, _, outcomes = _exhaustive_walk(n, s, q, budget)
+    box = _row_ops(frame.ring).box
+    matrix = lambda rows: Matrix(frame.ring, box(rows), coerce=False)
+    for G, F, report, label in outcomes:
+        if report.verdict:
+            yield (ModelPoint._checked(frame, matrix(F), matrix(G), report,
+                                       label), label)

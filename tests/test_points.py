@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from closed_form import assert_census_is_the_closed_form
 from test_linalg import intersect
 
 from splitmodel import points
@@ -30,10 +31,10 @@ from splitmodel.points import (
     iter_validated_points,
     sample_eps_chart_point,
     stratum_dimension,
-    tangent_report,
     validate,
 )
 from splitmodel.rings import FunctionField, PrimeField, SeriesRing
+from tangent import tangent_report
 
 F3 = PrimeField(3)
 
@@ -322,7 +323,7 @@ def test_census_exhaustive_4_2_5():
     examined = result.params["examined"]
     assert examined == 126386
     # the budget precheck passes at exactly the number of candidates walked
-    next(points._exhaustive_walk(4, 2, 5, examined)[1])
+    next(points._exhaustive_walk(4, 2, 5, examined)[2])
     with pytest.raises(BudgetExceeded):
         points._exhaustive_walk(4, 2, 5, examined - 1)
     walked = Counter(label for _, label in iter_validated_points(4, 2, 5))
@@ -340,6 +341,7 @@ def test_census_exhaustive_6_2_3():
         points._exhaustive_walk(6, 2, 3, examined - 1)
     assert examined - result.rejected["isotropy"] == 36491
     assert result.labels() == set(ClosurePoset(2).labels)
+    assert_census_is_the_closed_form(result)
 
 
 def test_census_budget():
@@ -397,8 +399,9 @@ def modified_radical_dim(frame, G):
 
 
 def test_radical_dim_is_the_intersection_on_random_g_over_f9():
-    # rows drawn from the first half of the image of t pair to zero, so
-    # mixing them with general rows reaches every l of the right parity
+    # the G half's l on element rows; rows drawn from the first half of the
+    # image of t pair to zero, so mixing them with general rows reaches
+    # every l of the right parity
     field = PrimeField(9)
     rng = random.Random(91)
     seen = set()
@@ -414,7 +417,7 @@ def test_radical_dim_is_the_intersection_on_random_g_over_f9():
                          coerce=False)
             if G.dim < s:
                 continue
-            l = points._radical_dim(frame, Matrix(field, tails, coerce=False))
+            l = points._g_half_elements(frame, [zrow + row for row in tails]).l
             assert l == modified_radical_dim(frame, G)
             seen.add((s, l))
     assert {(3, 1), (3, 3), (4, 0), (4, 2), (4, 4)} <= seen

@@ -3,8 +3,9 @@
 Over F_3, F_5 and F_7, with shapes that include no rows, no columns and
 deficient rank: the residue elimination gives the element elimination's
 rows, pivots and leads, and the product of its leads is the determinant;
-rank and the residue product agree with the element loops; and validate on
-residues gives the element branch's report.  The examples are derandomized
+rank and the residue product agree with the element loops; and the G half
+and F half of validation on residues give the element branch's, one G half
+serving two F.  The examples are derandomized
 by the profile in conftest.py.  Skipped where hypothesis is not installed.
 """
 
@@ -108,22 +109,40 @@ def test_residue_product_is_the_element_loop(data):
 
 @given(st.data())
 def test_residue_validation_is_the_element_branch(data):
-    # off the special fiber t + pi and t - pi differ.  G is drawn inside
-    # ker(t - pi) = {(pi y, y)} and F through G, or G as combinations of the
-    # rows of F, so that containment, (3b) and the other flags all vary
+    # off the special fiber t + pi and t - pi differ.  One G, of rank s or
+    # less, is drawn inside ker(t - pi) = {(pi y, y)}, inside the image of
+    # t or anywhere, so that it passes or fails (t - pi)G = 0 and stays in
+    # or leaves im(t).  Its G half runs once, on residues and on elements,
+    # and serves two F, each through G or drawn freely, so that
+    # containment and the other flags vary too.  Each F half equals the
+    # element branch's, and its report equals validate on both frames
     q = data.draw(st.sampled_from([3, 5, 7]))
     pi, s = data.draw(st.integers(0, q - 1)), data.draw(st.integers(1, 2))
     frame, elements = (build_frame(4, ring=PrimeField(q), pi=pi)
                        for _ in range(2))
     elements.residues = None
-    if data.draw(st.booleans()):
-        G = [[pi * y % q for y in row] + row
-             for row in data.draw(residue_rows(frame.ring, s, 4))]
-        F = G + data.draw(residue_rows(frame.ring, 4 - s, 8))
+    field = frame.ring
+    kind = data.draw(st.sampled_from(["kernel", "image", "any"]))
+    if kind == "any":
+        G = data.draw(residue_rows(field, s, 8))
     else:
-        F = data.draw(residue_rows(frame.ring, 4, 8))
-        G = [[sum(c * f[j] for c, f in zip(cs, F)) % q for j in range(8)]
-             for cs in data.draw(residue_rows(frame.ring, s, 4))]
-    F_rows, G_rows = Matrix(frame.ring, F), Matrix(frame.ring, G)
-    report = points.validate(frame, F_rows, G_rows)
-    assert report == points.validate(elements, F_rows, G_rows)
+        ys = data.draw(residue_rows(field, s, 4))
+        G = [([pi * y % q for y in row] if kind == "kernel" else [0] * 4)
+             + row for row in ys]
+    G_rows = Matrix(field, G)
+    g = points._g_half_mod_p(frame, G)
+    assert g == points._g_half_elements(elements, G_rows.data)
+    for _ in range(2):
+        if data.draw(st.booleans()):
+            F = G + data.draw(residue_rows(field, 4 - s, 8))
+        else:
+            F = data.draw(residue_rows(field, 4, 8))
+        F_rows = Matrix(field, F)
+        report, h = points._f_half_mod_p(frame, G, g, F)
+        assert (report, h) == points._f_half_elements(elements, G_rows.data,
+                                                      g, F_rows.data)
+        assert report == points.validate(frame, F_rows, G_rows)
+        assert report == points.validate(elements, F_rows, G_rows)
+        # at pi = 0 the F half's rank of (t + pi)F is h = rank(tF)
+        assert h == (rank(F_rows * frame.t_matrix.transpose()) if pi == 0
+                     else None)

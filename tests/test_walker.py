@@ -4,8 +4,11 @@
 F in the interval [L, U] of the exhaustive census.  Filtered by isotropy it
 must give the pruned walker's sequence, in order, for every G.  The pruned
 counts must also match the closed form for the maximal totally singular
-subspaces of a split quadratic space, and the 4/2/q census strata their
-prediction from the G alone.
+subspaces of a split quadratic space, and the G of each radical dimension
+the closed form of tests/closed_form.py.  The census's intervals and its
+split check (G half once per G, F half per F) are built on residue rows;
+here they are boxed and compared with the element subspaces and with
+validate.
 """
 
 import itertools
@@ -15,9 +18,11 @@ from collections import Counter
 
 import pytest
 
+from closed_form import (assert_census_is_the_closed_form,
+                         census_closed_form, g_count)
 from test_linalg import intersect
 
-from splitmodel import points
+from splitmodel import linalg, points
 from splitmodel.degenerations import ClosurePoset
 from splitmodel.errors import BudgetExceeded
 from splitmodel.frame import build_frame, orthogonal
@@ -25,7 +30,6 @@ from splitmodel.linalg import (Matrix, Subspace, intermediate_subspaces_iter,
                                subspaces_iter)
 from splitmodel.points import ModelPoint, StratumLabel, census
 from splitmodel.rings import PrimeField
-
 
 
 def reference_walk(lower, upper, dim):
@@ -54,28 +58,42 @@ def isotropic(S, gram):
     return S.dim == 0 or (M * gram * M.transpose()).is_zero()
 
 
+def census_intervals(frame, s, limit=None):
+    """(rows, G, L, U) for the first `limit` G of the census: G's rows as
+    the census holds them (int residues over F_p), then G, L and U boxed
+    into field elements."""
+    ops = linalg._row_ops(frame.ring)
+    for rows in itertools.islice(points._g_rows(ops, frame.n, s), limit):
+        L, U = points._interval(frame, ops, rows)
+        yield rows, ops.box(rows), ops.box(L), ops.box(U)
+
+
 def intervals(n, s, q, limit=None):
-    """(gram, G, L, U) for the first `limit` G of the exhaustive walk."""
+    """(gram, G, L, U) for the first `limit` G of the exhaustive walk, as
+    Subspaces."""
     frame = build_frame(n, ring=PrimeField(q))
-    for G, L, U in itertools.islice(points._intervals(frame, s), limit):
-        yield frame.gram_sym, G, L, U
+    for _, *bases in census_intervals(frame, s, limit):
+        yield frame.gram_sym, *(Subspace(frame.ring, 2 * n, rows, coerce=False)
+                                for rows in bases)
 
 
 @pytest.mark.parametrize("n, s, q, count", [(4, 2, 3, 130), (4, 1, 5, 156)])
 def test_intervals_build_g_and_u_reduced(n, s, q, count):
-    # G and U come out of _intervals in reduced form without an
-    # elimination: reducing their defining rows gives the same basis and
-    # pivots, for every G
+    # the census writes G and U down reduced, without an elimination, and
+    # reduces L = G + G-perp' from a residue kernel: boxed, the three are
+    # the canonical bases of G, of G plus its modified complement and of
+    # the preimage of G under t, for every G
     frame = build_frame(n, ring=PrimeField(q))
     field, zrow = frame.ring, [frame.ring.zero] * n
     t_image = [list(r) for r in frame.t_lambda().basis]
     seen = 0
-    for G, _, U in points._intervals(frame, s):
-        want_G = Subspace(field, 2 * n, G.basis, coerce=False)
-        want_U = Subspace(field, 2 * n, [list(r[n:]) + zrow for r in G.basis]
+    for _, G, L, U in census_intervals(frame, s):
+        want_G = Subspace(field, 2 * n, G, coerce=False)
+        want_L = want_G.sum(orthogonal(frame, want_G, "modified"))
+        want_U = Subspace(field, 2 * n, [list(r[n:]) + zrow for r in G]
                           + t_image, coerce=False)
-        assert (G.basis, G.pivots) == (want_G.basis, want_G.pivots)
-        assert (U.basis, U.pivots) == (want_U.basis, want_U.pivots)
+        for got, want in ((G, want_G), (L, want_L), (U, want_U)):
+            assert tuple(map(tuple, got)) == want.basis
         seen += 1
     assert seen == count
 
@@ -131,22 +149,28 @@ def test_walker_on_random_intervals(q, trials):
 
 @pytest.mark.parametrize("n, s, q, walked", [(4, 2, 3, 5290), (4, 1, 5, 936)])
 def test_residue_validation_is_the_element_branch(n, s, q, walked):
-    # every F of the unpruned walk, isotropic or not, is validated on
-    # residues and, on the same frame with its residues hidden, by the
-    # element loops; the labels of the points that pass are compared too
+    # every F of the unpruned walk, isotropic or not, is checked on the
+    # census's own path (the G half once per G, then the F half on the
+    # residues), by validate, and, on the same frame with its residues
+    # hidden, by the element loops; the labels of the points that pass are
+    # compared too
     frame = build_frame(n, ring=PrimeField(q))
     elements = build_frame(n, ring=PrimeField(q))
     elements.residues = None
     outcomes = Counter()
-    for G, L, U in points._intervals(frame, s):
-        G_rows = G.matrix()
+    for rows, G, L, U in census_intervals(frame, s):
+        g = points._g_half_mod_p(frame, rows)
+        G_rows = Matrix(frame.ring, G, coerce=False)
+        L, U = (Subspace(frame.ring, 2 * n, b, coerce=False) for b in (L, U))
         for F in reference_walk(L, U, n):
             F_rows = F.matrix()
-            report = points.validate(frame, F_rows, G_rows)
+            report, h = points._f_half_mod_p(frame, rows, g,
+                                             linalg._residues(F.basis))
+            assert report == points.validate(frame, F_rows, G_rows)
             assert report == points.validate(elements, F_rows, G_rows)
             outcomes[report.first_failure()] += 1
             if report.verdict:
-                assert (points.invariants(ModelPoint(frame, F_rows, G_rows))
+                assert (points._label(h, g.l, s)
                         == points.invariants(ModelPoint(elements, F_rows,
                                                         G_rows)))
     assert sum(outcomes.values()) == walked
@@ -176,34 +200,36 @@ def test_walker_count_per_g_is_the_closed_form(n, s, q):
 
 def radical_dims(n, s, q):
     """How many G of the exhaustive walk have each l = dim(G meet G-perp'),
-    from the intersection, after checking that the Gram corank of
-    points._radical_dim gives the same l for each G."""
+    from the intersection, after checking that the census's G half gives
+    the same l for each G."""
     frame = build_frame(n, ring=PrimeField(q))
     by_l = Counter()
-    for G, _, _ in points._intervals(frame, s):
+    for rows, G, _, _ in census_intervals(frame, s):
+        G = Subspace(frame.ring, 2 * n, G, coerce=False)
         l = intersect(G, orthogonal(frame, G, "modified")).dim
-        tails = G.matrix().submatrix(range(s), range(n, 2 * n))
-        assert points._radical_dim(frame, tails) == l
+        assert points._g_half_mod_p(frame, rows).l == l
         by_l[l] += 1
     return by_l
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_census_4_2_q_strata_from_the_g(q):
+    # the G of each radical dimension are the closed form's #G(l), from
+    # which it predicts the strata; test_closed_form.py compares the census
     by_l = radical_dims(4, 2, q)
-    assert set(by_l) == {0, 2}
-    result = census(4, 2, q)
-    assert result.strata == {StratumLabel(0, 0): by_l[0],
-                             StratumLabel(0, 2): by_l[2],
-                             StratumLabel(2, 2): q * by_l[2]}
-    assert result.rejected["spin"] == (q + 1) * by_l[2]
+    assert by_l == {l: g_count(4, 2, l, q) for l in (0, 2)}
+    strata = census_closed_form(4, 2, q)["strata"]
+    assert strata == {StratumLabel(0, 0): by_l[0], StratumLabel(0, 2): by_l[2],
+                      StratumLabel(2, 2): q * by_l[2]}
 
 
 def test_census_6_3_3_precheck_counts_every_candidate():
     # the interval of a G holds [3 + l choose l]_3 candidates: 40 at l = 1
     # and 33,880 at l = 3, so 32,760 * 40 + 1,120 * 33,880 in all
-    with pytest.raises(BudgetExceeded, match="39256000 candidates"):
-        points._exhaustive_walk(6, 3, 3, 39_255_999)
+    examined = census_closed_form(6, 3, 3)["examined"]
+    assert examined == 39_256_000
+    with pytest.raises(BudgetExceeded, match=f"{examined} candidates"):
+        points._exhaustive_walk(6, 3, 3, examined - 1)
 
 
 @pytest.mark.slow(reason="walks 39,256,000 candidates")
@@ -211,10 +237,10 @@ def test_census_exhaustive_6_3_3():
     # per G: at l = 1 one F is labelled (1, 1) and one fails spin; at l = 3
     # the 80 isotropic F split as q^3 (3, 3), q^2 + q + 1 (1, 3) and 40 spin
     q = 3
-    by_l = radical_dims(6, 3, q)
+    by_l = {l: g_count(6, 3, l, q) for l in (1, 3)}
     assert by_l == {1: 32760, 3: 1120}
     result = census(6, 3, q, budget=39_256_000)
-    assert result.params["examined"] == 39_256_000
+    assert_census_is_the_closed_form(result)
     assert result.strata == {StratumLabel(1, 1): by_l[1],
                              StratumLabel(1, 3): (q * q + q + 1) * by_l[3],
                              StratumLabel(3, 3): q ** 3 * by_l[3]}

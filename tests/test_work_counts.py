@@ -1,13 +1,19 @@
 """Work done per point: each per-point fact is computed once.
 
-A candidate is validated once, on construction.  Over a prime field one
-validation unboxes F and G once and then runs five residue eliminations
-and four residue products (linalg._eliminate_mod_p, _product_mod_p); it
-builds no Matrix and no field element.  Over any other field the same
-five eliminations and four products run as element loops.  The walker
-boxes each F once, into the Subspace it yields.  A point is labelled once,
-however often its label is asked for, with one rank for h and one Gram
-rank for l, and the census takes one modified complement per G.  A chart
+A candidate is validated once, on construction: the G half, then the F
+half.  Over a prime field validation unboxes F and G once; the G half runs
+two residue eliminations and three residue products (linalg.
+_eliminate_mod_p, _product_mod_p): rank(G), (t - pi)G and the Gram rank
+that gives l.  The F half runs four eliminations and three products:
+rank(F), G inside F, isotropy, (t + pi)F inside G and its rank, which is
+the spin parity and, at pi = 0, h.  Neither builds a Matrix or a field
+element.  Over any other field the same eliminations and products run as
+element loops.  Labelling a point takes no further kernel call.
+
+The exhaustive census runs the G half once per G, with one residue kernel
+and one elimination for G's interval, and then only the walker's own
+elimination and product and the F half's four and three per F.  It boxes
+nothing: no Matrix, no Subspace, no field element.  A chart
 draw changes basis without inverting a matrix, and a flat lift inverts
 each seed block once.  The schubert job transfers each point to the
 lattice side once: one label, one F-side window lattice and one cell per
@@ -20,6 +26,7 @@ import random
 import sys
 
 from splitmodel import cli, lattices, linalg, points, rings
+from splitmodel import frame as frame_module
 from splitmodel.frame import build_frame
 from splitmodel.lattices import phi_map, tau_fiber_check
 from splitmodel.linalg import Matrix
@@ -57,7 +64,7 @@ def two_candidates(q, accepted):
     return frame, [(accepted.F_rows, accepted.G_rows), rejected]
 
 
-def test_one_candidate_runs_five_eliminations_and_four_products(monkeypatch):
+def test_one_candidate_runs_the_g_half_and_the_f_half(monkeypatch):
     accepted, _ = next(iter_validated_points(4, 1, 3))
     frame, candidates = two_candidates(3, accepted)
     eliminations = count_calls(monkeypatch, linalg, "_eliminate_mod_p")
@@ -69,12 +76,13 @@ def test_one_candidate_runs_five_eliminations_and_four_products(monkeypatch):
         del eliminations[:], products[:]
         point = ModelPoint(frame, F_rows, G_rows)
         verdicts.append(point.validate().verdict)
-        assert (len(eliminations), len(products)) == (5, 4)
+        # G half 2 and 3, F half 4 and 3
+        assert (len(eliminations), len(products)) == (6, 6)
     assert verdicts == [True, False]
     assert matrices == created == []
 
 
-def test_an_f9_candidate_runs_five_element_eliminations_and_products(monkeypatch):
+def test_an_f9_candidate_runs_both_halves_on_element_loops(monkeypatch):
     # F_9 keeps the element loops, which the residue kernels are tested
     # against, so their count is pinned as well
     accepted, _ = next(iter_validated_points(4, 1, 9))
@@ -87,36 +95,45 @@ def test_an_f9_candidate_runs_five_element_eliminations_and_products(monkeypatch
         del eliminations[:], products[:]
         point = ModelPoint(frame, F_rows, G_rows)
         verdicts.append(point.validate().verdict)
-        assert (len(eliminations), len(products)) == (5, 4)
+        assert (len(eliminations), len(products)) == (6, 6)
     assert verdicts == [True, False] and residue == []
 
 
 def test_validating_a_census_candidate_builds_no_field_element(monkeypatch):
-    walk = points._exhaustive_walk(4, 2, 3, 10 ** 8)[1]
-    candidates = [next(walk) for _ in range(40)]
-    assert {c.report.verdict for c in candidates} == {True, False}
-    frame = candidates[0].frame
+    frame, _, outcomes = points._exhaustive_walk(4, 2, 3, 10 ** 8)
     created = count_calls(monkeypatch, FFElement, "__init__")
     matrices = count_calls(monkeypatch, Matrix, "__init__")
-    for candidate in candidates:
-        point = ModelPoint(frame, candidate.F_rows, candidate.G_rows)
-        assert point.report == candidate.report
+    subspaces = count_calls(monkeypatch, linalg.Subspace, "_echelon")
+    walked = list(outcomes)
+    # the walk checks and labels every F on residues and boxes nothing
+    assert len(walked) == 410
+    assert {report.verdict for _, _, report, _ in walked} == {True, False}
+    assert created == matrices == subspaces == []
+    # a point built from the same rows gets the same report and label
+    box = lambda rows: Matrix(frame.ring, linalg._boxed(frame.ring, rows))
+    candidates = [(box(F), box(G), report, label)
+                  for G, F, report, label in walked[:40]]
+    del created[:], matrices[:]
+    for F_rows, G_rows, report, label in candidates:
+        point = ModelPoint(frame, F_rows, G_rows)
+        assert point.report == report
+        assert label is None or invariants(point) == label
     assert created == matrices == []
 
 
 def test_census_coerces_few_field_elements(monkeypatch):
-    # subspaces built from field elements (the walker's F, sum,
-    # perp, orthogonal, matrix(), a point's G_subspace) are not coerced into
-    # the field again; before that, census 4/2/3 made 402,962 coerce calls,
-    # and 7,042 while G_subspace still coerced; 3,042 now
+    # the census boxes nothing, so only its frame coerces; before the
+    # walker's subspaces and a point's G_subspace stopped coercing, census
+    # 4/2/3 made 402,962 coerce calls, then 3,042 while it still boxed
+    # every G, L, U and F
     coerced = count_calls(monkeypatch, PrimeField, "coerce")
     census(4, 2, 3)
-    assert len(coerced) <= 3500
+    assert len(coerced) <= 2
 
 
 def test_each_iterated_point_is_labelled_once(monkeypatch):
     labels = count_calls(monkeypatch, points, "invariants")
-    radicals = count_calls(monkeypatch, points, "_radical_dim")
+    g_halves = count_calls(monkeypatch, points, "_g_half_mod_p")
     seen = []
 
     def walk():
@@ -126,27 +143,52 @@ def test_each_iterated_point_is_labelled_once(monkeypatch):
 
     report = tau_fiber_check(walk())
     assert report.ok and report.counts == {1: 40}
-    # one label per point from the walk, one more asked for by the check
-    assert len(labels) == 2 * len(seen) == 80
-    # one Gram rank per label, and one per G, [4 choose 1]_3 = 40 of
-    # them, for the count before the walk
-    assert len(radicals) - 40 == len(seen)
+    # the walk yields each point with its label; only the check asks
+    assert len(labels) == len(seen) == 40
+    # one G half per G, [4 choose 1]_3 = 40 of them, and none per point
+    assert len(g_halves) == 40
     assert all(p.label is invariants(p) for p in seen)
-    # labelling a point afresh is one residue rank of t F for h (one
-    # product) and one of the Gram matrix of G's tails for l (two products)
+    # labelling a point afresh reads the ranks its check found
     eliminations = count_calls(monkeypatch, linalg, "_eliminate_mod_p")
     products = count_calls(monkeypatch, linalg, "_product_mod_p")
     for point in seen:
         label, point.label = point.label, None
         assert invariants(point) == label
-    assert (len(eliminations), len(products)) == (2 * 40, 3 * 40)
+    assert eliminations == products == []
 
 
 def test_census_takes_one_modified_complement_per_g(monkeypatch):
-    # [4 choose 2]_3 = 130 G; the 250 labelled points take none
-    complements = count_calls(monkeypatch, points, "orthogonal")
+    # [4 choose 2]_3 = 130 G, each with one residue kernel for G-perp';
+    # the 250 labelled points take none, and no element complement is built
+    complements = count_calls(monkeypatch, points, "_kernel")
+    elements = count_calls(monkeypatch, frame_module, "orthogonal")
     census(4, 2, 3)
-    assert len(complements) == 130
+    assert len(complements) == 130 and elements == []
+
+
+def test_census_checks_g_once_and_each_f_with_four_eliminations(monkeypatch):
+    # per G the G half (2 eliminations, 3 products), the interval (2, 1)
+    # and the walker's set-up (1, 2); per walked F the walker's own
+    # elimination and product and the F half's 4 and 3
+    eliminations = count_calls(monkeypatch, linalg, "_eliminate_mod_p")
+    products = count_calls(monkeypatch, linalg, "_product_mod_p")
+    g_halves = count_calls(monkeypatch, points, "_g_half_mod_p")
+    f_half, costs = points._f_half_mod_p, []
+
+    def counted(*args):
+        before = len(eliminations), len(products)
+        result = f_half(*args)
+        costs.append((len(eliminations) - before[0],
+                      len(products) - before[1], result[0].verdict))
+        return result
+
+    monkeypatch.setattr(points, "_f_half_mod_p", counted)
+    result = census(4, 2, 3)
+    assert sum(result.strata.values()) == 250 and len(g_halves) == 130
+    assert {cost[:2] for cost in costs} == {(4, 3)} and len(costs) == 410
+    assert sum(verdict for _, _, verdict in costs) == 250
+    assert len(eliminations) == 130 * 5 + 410 * 5
+    assert len(products) == 130 * 6 + 410 * 4
 
 
 def test_schubert_transfers_each_point_once(monkeypatch, capsys):
