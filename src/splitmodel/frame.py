@@ -45,8 +45,8 @@ class Frame:
     the distinguished variable over a function field in it.  ``t_plus`` and
     ``t_minus`` are t + pi and t - pi, the operators of the splitting
     conditions.  Over a prime field ``residues`` maps each of the names
-    t_matrix, t_plus, t_minus, gram_sym and gram_mod to the int residue
-    rows of that matrix; over any other ring it is None."""
+    t_plus, t_minus, gram_sym and gram_mod to the int residue rows of that
+    matrix; over any other ring it is None."""
 
     __slots__ = ("ring", "n", "m", "pi", "t_matrix", "t_plus", "t_minus",
                  "gram_sym", "gram_mod", "residues")
@@ -66,7 +66,7 @@ class Frame:
         J = _j_matrix(ring, n)
         self.gram_sym = Matrix.block(ring, [[Z, J], [-J, Z]])
         self.gram_mod = -J
-        names = ("t_matrix", "t_plus", "t_minus", "gram_sym", "gram_mod")
+        names = ("t_plus", "t_minus", "gram_sym", "gram_mod")
         self.residues = ({k: _residues(getattr(self, k).data) for k in names}
                          if _is_prime_field(ring) else None)
 

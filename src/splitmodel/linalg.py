@@ -678,11 +678,11 @@ def _isotropic_walk(ops, lower, upper, dim: int, gram):
     d, e = dim - len(lower), len(lower)
     if d < 0 or dim > len(upper):
         return
-    # complement vectors of lower inside upper: the rows of upper outside the
-    # span of the rows before them, the pivot columns of the stacked columns
+    # complement of lower in upper, needed only when S is larger than lower:
+    # the rows of upper outside the span of the rows before them
     stacked = [*lower, *upper]
     comp = [stacked[c] for _, c in
-            eliminate([list(col) for col in zip(*stacked)])[1][e:]]
+            eliminate([list(col) for col in zip(*stacked)])[1][e:]] if d else []
     k = len(comp)
     # P pairs the rows of lower and the complement vectors; a row c of
     # S/lower stands for c . C and pairs with a row c' as c M c'^t, and with

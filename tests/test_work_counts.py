@@ -168,8 +168,9 @@ def test_census_takes_one_modified_complement_per_g(monkeypatch):
 
 def test_census_checks_g_once_and_each_f_with_four_eliminations(monkeypatch):
     # per G the G half (2 eliminations, 3 products), the interval (2, 1)
-    # and the walker's set-up (1, 2); per walked F the walker's own
-    # elimination and product and the F half's 4 and 3
+    # and the walker's set-up (2 products, and 1 elimination for the 40 G
+    # whose F are not L itself); per walked F the walker's own elimination
+    # and product and the F half's 4 and 3
     eliminations = count_calls(monkeypatch, linalg, "_eliminate_mod_p")
     products = count_calls(monkeypatch, linalg, "_product_mod_p")
     g_halves = count_calls(monkeypatch, points, "_g_half_mod_p")
@@ -187,7 +188,7 @@ def test_census_checks_g_once_and_each_f_with_four_eliminations(monkeypatch):
     assert sum(result.strata.values()) == 250 and len(g_halves) == 130
     assert {cost[:2] for cost in costs} == {(4, 3)} and len(costs) == 410
     assert sum(verdict for _, _, verdict in costs) == 250
-    assert len(eliminations) == 130 * 5 + 410 * 5
+    assert len(eliminations) == 130 * 4 + 40 + 410 * 5
     assert len(products) == 130 * 6 + 410 * 4
 
 
